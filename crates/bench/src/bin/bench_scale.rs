@@ -1,6 +1,6 @@
 //! `bench_scale` — the multi-core scaling campaign: the same Poisson
 //! fleet, persisted and sharded, replayed through the streaming
-//! flowgraph at a grid of worker counts × scheduler policies.
+//! flowgraph at a grid of worker counts.
 //!
 //! Usage:
 //!
@@ -8,19 +8,19 @@
 //! bench_scale [--out BENCH_scale.json] [--sim-s SECONDS]
 //! ```
 //!
-//! For every `(workers, scheduler)` cell the run measures wall-clock
+//! For every worker count the run measures wall-clock
 //! throughput (uplink groups per second through source → per-gateway
 //! fronts → shard router → per-shard persisted sinks) and the
 //! commit-latency distribution (`server_commit_ns`, per-shard histogram
 //! deltas merged across shards). Verdicts are checked bit-for-bit
-//! against the first cell, so a scheduler that corrupts results fails
+//! against the first cell, so a worker count that corrupts results fails
 //! the bench rather than posting a good number. The JSON artifact is
 //! uploaded by CI; the README "Performance" table is generated from it.
 
 use softlora::NetworkServer;
 use softlora_bench::table::Table;
 use softlora_phy::{PhyConfig, SpreadingFactor};
-use softlora_runtime::{FlowgraphBuilder, Scheduler, SchedulerKind};
+use softlora_runtime::{FlowgraphBuilder, Scheduler};
 use softlora_sim::{FleetDeployment, FrameSource, HonestChannel, Scenario, UplinkDeliveries};
 use softlora_store::test_dir;
 use softlora_telemetry::{HistogramSnapshot, RegistrySnapshot};
@@ -69,38 +69,27 @@ fn build_server(dir: &std::path::Path) -> NetworkServer {
     builder.build()
 }
 
-/// Sum of the per-shard `server_commit_ns` histogram deltas between two
-/// registry snapshots — the commit-latency distribution of exactly one
-/// run, even though the process-global registry accumulates forever.
+/// The `server_commit_ns` histogram delta between two registry
+/// snapshots, merged across shards — the commit-latency distribution of
+/// exactly one run, even though the process-global registry accumulates
+/// forever.
 fn commit_ns_delta(before: &RegistrySnapshot, after: &RegistrySnapshot) -> HistogramSnapshot {
-    let mut total = HistogramSnapshot::empty();
-    for series in after.series.iter().filter(|s| s.name == "server_commit_ns") {
-        let Some(h) = series.value.as_histogram() else { continue };
-        let mut delta = *h;
-        if let Some(prior) = before
-            .series
-            .iter()
-            .find(|s| s.key() == series.key())
-            .and_then(|s| s.value.as_histogram())
-        {
-            for (d, p) in delta.buckets.iter_mut().zip(prior.buckets.iter()) {
-                *d = d.wrapping_sub(*p);
-            }
-            delta.count = delta.count.wrapping_sub(prior.count);
-            delta.sum = delta.sum.wrapping_sub(prior.sum);
+    let mut delta = after.histogram_sum("server_commit_ns").unwrap_or_default();
+    if let Some(prior) = before.histogram_sum("server_commit_ns") {
+        for (d, p) in delta.buckets.iter_mut().zip(prior.buckets.iter()) {
+            *d = d.wrapping_sub(*p);
         }
-        total.merge(&delta);
+        delta.count = delta.count.wrapping_sub(prior.count);
+        delta.sum = delta.sum.wrapping_sub(prior.sum);
     }
-    total
+    delta
 }
 
 struct Cell {
-    scheduler: SchedulerKind,
     workers: usize,
     elapsed_s: f64,
     throughput: f64,
     commit_ns: HistogramSnapshot,
-    steals: u64,
 }
 
 fn main() {
@@ -134,7 +123,7 @@ fn main() {
     worker_grid.dedup();
     println!(
         "Scaling campaign: {GATEWAYS} gateways, {DEVICES} devices, {SHARDS} shards, \
-         {} groups, workers {worker_grid:?} × {{roundrobin, stealing}} ({cores} cores)",
+         {} groups, workers {worker_grid:?} ({cores} cores)",
         groups.len()
     );
 
@@ -142,70 +131,61 @@ fn main() {
     let mut cells: Vec<Cell> = Vec::new();
     let mut reference: Option<Vec<(u64, softlora::ServerVerdict)>> = None;
     for &workers in &worker_grid {
-        for kind in [SchedulerKind::RoundRobin, SchedulerKind::Stealing] {
-            let dir = test_dir(&format!("bench-scale-{}-{workers}", kind.name()));
-            let mut server = build_server(&dir);
-            let verdicts = std::sync::Arc::new(std::sync::Mutex::new(Vec::<(
-                u64,
-                softlora::ServerVerdict,
-            )>::new()));
-            struct Tap(std::sync::Arc<std::sync::Mutex<Vec<(u64, softlora::ServerVerdict)>>>);
-            impl softlora::ServerObserver for Tap {
-                fn on_verdict(&mut self, uplink: u64, verdict: &softlora::ServerVerdict) {
-                    self.0.lock().unwrap().push((uplink, verdict.clone()));
-                }
+        let dir = test_dir(&format!("bench-scale-{workers}"));
+        let mut server = build_server(&dir);
+        let verdicts = std::sync::Arc::new(std::sync::Mutex::new(Vec::<(
+            u64,
+            softlora::ServerVerdict,
+        )>::new()));
+        struct Tap(std::sync::Arc<std::sync::Mutex<Vec<(u64, softlora::ServerVerdict)>>>);
+        impl softlora::ServerObserver for Tap {
+            fn on_verdict(&mut self, uplink: u64, verdict: &softlora::ServerVerdict) {
+                self.0.lock().unwrap().push((uplink, verdict.clone()));
             }
-            server.attach_observer(Box::new(Tap(std::sync::Arc::clone(&verdicts))));
-            let (fronts, router, sinks) = server.into_sharded_streaming();
-
-            let before = registry.snapshot();
-            let steals_before = before.counter_sum("runtime_steals_total");
-            let mut b = FlowgraphBuilder::new();
-            b.scheduler(kind);
-            let src = b.source(FrameSource::from_groups(groups.clone()));
-            let parts: Vec<_> = fronts.into_iter().map(|front| b.stage(src, front)).collect();
-            let routed = b.merge(&parts, router);
-            for sink in sinks {
-                b.sink(&[routed], sink);
-            }
-            let start = Instant::now();
-            Scheduler::new(workers).run(b.build().expect("valid flowgraph"));
-            let elapsed = start.elapsed();
-            let after = registry.snapshot();
-
-            let mut sorted = verdicts.lock().unwrap().clone();
-            sorted.sort_by_key(|(uplink, _)| *uplink);
-            assert_eq!(sorted.len(), groups.len(), "every group must commit");
-            match &reference {
-                None => reference = Some(sorted),
-                Some(expected) => {
-                    assert_eq!(&sorted, expected, "{} × {workers} diverged", kind.name());
-                }
-            }
-
-            let elapsed_s = elapsed.as_secs_f64();
-            cells.push(Cell {
-                scheduler: kind,
-                workers,
-                elapsed_s,
-                throughput: groups.len() as f64 / elapsed_s,
-                commit_ns: commit_ns_delta(&before, &after),
-                steals: after.counter_sum("runtime_steals_total") - steals_before,
-            });
-            std::fs::remove_dir_all(&dir).ok();
         }
+        server.attach_observer(Box::new(Tap(std::sync::Arc::clone(&verdicts))));
+        let (fronts, router, sinks) = server.into_sharded_streaming();
+
+        let before = registry.snapshot();
+        let mut b = FlowgraphBuilder::new();
+        let src = b.source(FrameSource::from_groups(groups.clone()));
+        let parts: Vec<_> = fronts.into_iter().map(|front| b.stage(src, front)).collect();
+        let routed = b.merge(&parts, router);
+        for sink in sinks {
+            b.sink(&[routed], sink);
+        }
+        let start = Instant::now();
+        Scheduler::new(workers).run(b.build().expect("valid flowgraph"));
+        let elapsed = start.elapsed();
+        let after = registry.snapshot();
+
+        let mut sorted = verdicts.lock().unwrap().clone();
+        sorted.sort_by_key(|(uplink, _)| *uplink);
+        assert_eq!(sorted.len(), groups.len(), "every group must commit");
+        match &reference {
+            None => reference = Some(sorted),
+            Some(expected) => {
+                assert_eq!(&sorted, expected, "{workers} workers diverged");
+            }
+        }
+
+        let elapsed_s = elapsed.as_secs_f64();
+        cells.push(Cell {
+            workers,
+            elapsed_s,
+            throughput: groups.len() as f64 / elapsed_s,
+            commit_ns: commit_ns_delta(&before, &after),
+        });
+        std::fs::remove_dir_all(&dir).ok();
     }
 
-    let mut t =
-        Table::new(["Scheduler", "Workers", "Groups/s", "Commit p50", "Commit p99", "Steals"]);
+    let mut t = Table::new(["Workers", "Groups/s", "Commit p50", "Commit p99"]);
     for c in &cells {
         t.row([
-            c.scheduler.name().into(),
             c.workers.to_string(),
             format!("{:.1}", c.throughput),
             format!("{:.0} ns", c.commit_ns.p50()),
             format!("{:.0} ns", c.commit_ns.p99()),
-            c.steals.to_string(),
         ]);
     }
     println!("\n{t}");
@@ -222,14 +202,12 @@ fn main() {
             }
             let _ = write!(
                 json,
-                "{{\"scheduler\":\"{}\",\"workers\":{},\"elapsed_s\":{:.4},\
-                 \"throughput_groups_per_s\":{:.2},\"steals\":{},\"commit_ns\":{{\
+                "{{\"workers\":{},\"elapsed_s\":{:.4},\
+                 \"throughput_groups_per_s\":{:.2},\"commit_ns\":{{\
                  \"count\":{},\"mean\":{:.0},\"p50\":{:.0},\"p90\":{:.0},\"p99\":{:.0}}}}}",
-                c.scheduler.name(),
                 c.workers,
                 c.elapsed_s,
                 c.throughput,
-                c.steals,
                 c.commit_ns.count,
                 c.commit_ns.mean(),
                 c.commit_ns.p50(),

@@ -22,7 +22,7 @@ use softlora_net::protocol::{decode_frame, encode_frame, Frame};
 use softlora_net::NetError;
 use softlora_phy::{PhyConfig, SpreadingFactor};
 use softlora_sim::{FleetDeployment, Position, Scenario, UplinkDeliveries};
-use softlora_telemetry::RegistrySnapshot;
+use softlora_telemetry::{HistogramSnapshot, RegistrySnapshot};
 use std::net::UdpSocket;
 use std::time::Duration;
 
@@ -177,8 +177,8 @@ fn monotonicity_violations(mid: &RegistrySnapshot, fin: &RegistrySnapshot) -> Ve
 }
 
 /// Pulls one histogram's quantile summary as a JSON object.
-fn histogram_json(snapshot: &RegistrySnapshot, name: &str, labels: &[(&str, &str)]) -> String {
-    match snapshot.find_with(name, labels).and_then(|s| s.value.as_histogram()) {
+fn histogram_json(histogram: Option<HistogramSnapshot>) -> String {
+    match histogram {
         Some(h) => format!(
             "{{\"count\":{},\"mean\":{:.1},\"p50\":{:.1},\"p90\":{:.1},\"p99\":{:.1},\"p999\":{:.1}}}",
             h.count,
@@ -259,11 +259,11 @@ fn run(args: &Args) -> Result<(), NetError> {
         failures.push("rendered text exposition is empty".to_string());
     }
     for family in ["gateway_stage_ns", "server_commit_ns", "net_datagrams_total"] {
-        if fin_snapshot.find(family).is_none() {
+        if !fin_snapshot.series.iter().any(|s| s.name == family) {
             failures.push(format!("series family {family} missing from the final scrape"));
         }
     }
-    if args.persist.is_some() && fin_snapshot.find("store_wal_append_ns").is_none() {
+    if args.persist.is_some() && fin_snapshot.histogram_sum("store_wal_append_ns").is_none() {
         failures.push("store_wal_append_ns missing despite persistence".to_string());
     }
     failures.extend(monotonicity_violations(&mid_snapshot, &fin_snapshot));
@@ -277,7 +277,12 @@ fn run(args: &Args) -> Result<(), NetError> {
         .map(|stage| {
             format!(
                 "\"{stage}\":{}",
-                histogram_json(&fin_snapshot, "gateway_stage_ns", &[("stage", stage)])
+                histogram_json(
+                    fin_snapshot
+                        .find_with("gateway_stage_ns", &[("stage", stage)])
+                        .and_then(|s| s.value.as_histogram())
+                        .copied()
+                )
             )
         })
         .collect();
@@ -312,7 +317,7 @@ fn run(args: &Args) -> Result<(), NetError> {
         load_report.ack_latency.p50_us,
         load_report.ack_latency.p99_us,
         stage_json.join(","),
-        histogram_json(&fin_snapshot, "server_commit_ns", &[("shard", "0")]),
+        histogram_json(fin_snapshot.histogram_sum("server_commit_ns")),
         fin_snapshot
             .find_with("server_verdicts_total", &[("verdict", "accept")])
             .and_then(|s| s.value.as_counter())
@@ -330,10 +335,7 @@ fn run(args: &Args) -> Result<(), NetError> {
         d.false_negatives,
         d.true_negatives,
         accuracy,
-        fin_snapshot
-            .find("store_wal_append_ns")
-            .and_then(|s| s.value.as_histogram())
-            .map_or(0, |h| h.count),
+        fin_snapshot.histogram_sum("store_wal_append_ns").map_or(0, |h| h.count),
         fin_snapshot.counter_sum("store_fsyncs_total"),
         fin_snapshot.counter_sum("store_segment_rotations_total"),
         fin_snapshot.counter_sum("net_datagrams_total"),

@@ -133,17 +133,6 @@ impl<T> OutputPort<T> {
         self.ring.capacity()
     }
 
-    /// Current advisory (soft) capacity — the backpressure threshold.
-    pub fn soft_capacity(&self) -> usize {
-        self.ring.soft_capacity()
-    }
-
-    /// Sets the advisory capacity (clamped to `1..=capacity`); the hook
-    /// the stealing scheduler's occupancy tuner drives.
-    pub fn set_soft_capacity(&mut self, cap: usize) {
-        self.ring.set_soft_capacity(cap)
-    }
-
     /// Closes the ring (done automatically when the block finishes).
     pub fn close(&mut self) {
         self.ring.close()

@@ -83,10 +83,6 @@ pub(crate) trait Node: Send {
     fn step(&mut self, observers: &[Arc<dyn RuntimeObserver>]) -> StepState;
     fn is_finished(&self) -> bool;
     fn report(&self) -> BlockReport;
-    /// Occupancy-driven ring retuning hook; called by the stealing
-    /// scheduler after steps (the round-robin scheduler never calls it,
-    /// so its behaviour is untouched). Default: no-op.
-    fn tune(&mut self) {}
 }
 
 /// The typed node implementation behind the `Node` trait object.
@@ -99,20 +95,7 @@ struct BlockNode<B: Block> {
     busy_s: f64,
     occupancy_sum: u64,
     occupancy_samples: u64,
-    /// Occupancy accumulated since the last [`Node::tune`] decision
-    /// (reset every window, unlike the lifetime counters above).
-    tune_occ_sum: u64,
-    tune_samples: u64,
 }
-
-/// Work calls between ring-capacity tuning decisions: long enough that a
-/// window mean reflects steady-state pressure, short enough to adapt
-/// within a burst.
-const TUNE_WINDOW: u64 = 64;
-
-/// Soft capacities never shrink below this many slots — batched blocks
-/// still get a useful burst size.
-const TUNE_FLOOR: usize = 16;
 
 impl<B: Block> BlockNode<B> {
     fn counts(&self) -> (u64, u64) {
@@ -173,8 +156,6 @@ impl<B: Block> Node for BlockNode<B> {
             let occupancy = self.outputs.iter_mut().map(|p| p.occupancy() as u64).sum::<u64>();
             self.occupancy_sum += occupancy;
             self.occupancy_samples += 1;
-            self.tune_occ_sum += occupancy;
-            self.tune_samples += 1;
             for obs in observers {
                 obs.on_work(self.block.name(), consumed, produced, elapsed_s);
             }
@@ -211,29 +192,6 @@ impl<B: Block> Node for BlockNode<B> {
 
     fn is_finished(&self) -> bool {
         self.finished
-    }
-
-    fn tune(&mut self) {
-        if self.outputs.is_empty() || self.tune_samples < TUNE_WINDOW {
-            return;
-        }
-        // Mean per-ring occupancy over the window: chronically full rings
-        // get more headroom (fewer backpressure round-trips), chronically
-        // near-empty rings get a tighter cap (smaller batches, warmer
-        // caches downstream). Correctness never depends on the choice —
-        // the soft cap only moves the backpressure threshold.
-        let mean =
-            self.tune_occ_sum as f64 / (self.tune_samples * self.outputs.len() as u64) as f64;
-        self.tune_occ_sum = 0;
-        self.tune_samples = 0;
-        for out in &mut self.outputs {
-            let soft = out.soft_capacity();
-            if mean > soft as f64 * 0.75 && soft < out.capacity() {
-                out.set_soft_capacity((soft * 2).min(out.capacity()));
-            } else if mean < soft as f64 * 0.125 && soft > TUNE_FLOOR {
-                out.set_soft_capacity((soft / 2).max(TUNE_FLOOR));
-            }
-        }
     }
 
     fn report(&self) -> BlockReport {
@@ -290,8 +248,6 @@ impl<B: Block> PendingNode for Pending<B> {
             busy_s: 0.0,
             occupancy_sum: 0,
             occupancy_samples: 0,
-            tune_occ_sum: 0,
-            tune_samples: 0,
         })
     }
 }
@@ -303,7 +259,6 @@ pub struct FlowgraphBuilder {
     names: Vec<String>,
     is_sink: Vec<bool>,
     observers: Vec<Arc<dyn RuntimeObserver>>,
-    scheduler: Option<SchedulerKind>,
 }
 
 impl FlowgraphBuilder {
@@ -319,11 +274,8 @@ impl FlowgraphBuilder {
         self
     }
 
-    /// Pins the scheduler implementation this graph runs under,
-    /// overriding both the [`Scheduler`]'s own kind and the
-    /// `SOFTLORA_SCHEDULER` environment variable.
-    pub fn scheduler(&mut self, kind: SchedulerKind) -> &mut Self {
-        self.scheduler = Some(kind);
+    /// Compatibility call kept for existing callers; ignores `kind`.
+    pub fn scheduler(&mut self, _kind: SchedulerKind) -> &mut Self {
         self
     }
 
@@ -448,7 +400,6 @@ impl FlowgraphBuilder {
         Ok(Flowgraph {
             nodes: self.pending.into_iter().map(PendingNode::into_node).collect(),
             observers: self.observers,
-            scheduler_kind: self.scheduler,
         })
     }
 }
@@ -458,9 +409,6 @@ impl FlowgraphBuilder {
 pub struct Flowgraph {
     pub(crate) nodes: Vec<Box<dyn Node>>,
     pub(crate) observers: Vec<Arc<dyn RuntimeObserver>>,
-    /// Builder-pinned scheduler implementation; `None` defers to the
-    /// running [`Scheduler`] (and thence `SOFTLORA_SCHEDULER`).
-    pub(crate) scheduler_kind: Option<SchedulerKind>,
 }
 
 impl Flowgraph {

@@ -16,12 +16,9 @@
 //!   ([`WorkResult::Finished`]);
 //! * [`FlowgraphBuilder`] — wires blocks into a DAG (acyclic by
 //!   construction, connectivity validated at [`FlowgraphBuilder::build`]);
-//! * [`Scheduler`] — runs blocks on std worker threads under one of two
-//!   policies ([`SchedulerKind`], selectable per graph or via the
-//!   `SOFTLORA_SCHEDULER` env var): static **round-robin** assignment,
-//!   or **work-stealing** over per-worker Chase-Lev deques ([`deque`])
-//!   with occupancy-driven ring-capacity tuning; both park on empty/full
-//!   rings and unpark peers on progress, with per-block
+//! * [`Scheduler`] — runs blocks on std worker threads, assigned
+//!   round-robin; a worker parks when none of its blocks can move and
+//!   is unparked by any peer that makes progress, with per-block
 //!   throughput/latency/occupancy counters surfaced through
 //!   [`RuntimeObserver`] and the final [`RuntimeReport`].
 //!
@@ -56,14 +53,12 @@
 
 pub mod block;
 pub mod blocks;
-pub mod deque;
 pub mod flowgraph;
 pub mod observer;
 pub mod ring;
 pub mod scheduler;
 
 pub use block::{Block, InputPort, OutputPort, WorkIo, WorkResult};
-pub use deque::{Steal, StealDeque};
 pub use flowgraph::{
     Flowgraph, FlowgraphBuilder, FlowgraphError, NodeHandle, DEFAULT_RING_CAPACITY,
 };

@@ -92,8 +92,7 @@ pub trait RuntimeObserver: Send + Sync {
     /// Worker `worker` found no runnable block and parked.
     fn on_park(&self, worker: usize) {}
 
-    /// Worker `worker` ran out of local work and stole a block from a
-    /// peer's deque (stealing scheduler only).
+    /// Compatibility hook kept for existing observers; nothing calls it.
     fn on_steal(&self, worker: usize) {}
 
     /// A block finished; `report` holds its final counters.
@@ -128,13 +127,8 @@ pub struct RuntimeStats {
     tallies: Mutex<HashMap<String, BlockTally>>,
     parks: AtomicU64,
     finished_blocks: AtomicU64,
-    steals: AtomicU64,
     parks_total: softlora_telemetry::Counter,
     work_calls_total: softlora_telemetry::Counter,
-    /// Per-worker `runtime_steals_total{worker}` handles, grown lazily
-    /// on the first steal each worker reports (registration allocates
-    /// the label once; subsequent steals are a lock + relaxed inc).
-    steal_counters: Mutex<Vec<Option<softlora_telemetry::Counter>>>,
 }
 
 impl Default for RuntimeStats {
@@ -144,10 +138,8 @@ impl Default for RuntimeStats {
             tallies: Mutex::new(HashMap::new()),
             parks: AtomicU64::new(0),
             finished_blocks: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
             parks_total: registry.counter("runtime_worker_parks_total"),
             work_calls_total: registry.counter("runtime_work_calls_total"),
-            steal_counters: Mutex::new(Vec::new()),
         }
     }
 }
@@ -185,12 +177,6 @@ impl RuntimeStats {
     pub fn finished_blocks(&self) -> u64 {
         self.finished_blocks.load(Ordering::Relaxed)
     }
-
-    /// Blocks stolen across workers (stealing scheduler only; stays 0
-    /// under round-robin).
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
 }
 
 impl RuntimeObserver for RuntimeStats {
@@ -213,20 +199,6 @@ impl RuntimeObserver for RuntimeStats {
     fn on_park(&self, _worker: usize) {
         self.parks.fetch_add(1, Ordering::Relaxed);
         self.parks_total.inc();
-    }
-
-    fn on_steal(&self, worker: usize) {
-        self.steals.fetch_add(1, Ordering::Relaxed);
-        let mut counters = self.steal_counters.lock().expect("runtime stats poisoned");
-        if counters.len() <= worker {
-            counters.resize(worker + 1, None);
-        }
-        let counter = counters[worker].get_or_insert_with(|| {
-            let worker = worker.to_string();
-            softlora_telemetry::global()
-                .counter_with("runtime_steals_total", &[("worker", worker.as_str())])
-        });
-        counter.inc();
     }
 
     fn on_block_finished(&self, report: &BlockReport) {

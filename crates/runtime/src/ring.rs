@@ -37,14 +37,6 @@ struct Shared<T, const N: usize> {
     /// again). Pushes then succeed as drops so an upstream block can
     /// never deadlock against a finished downstream.
     abandoned: AtomicBool,
-    /// Advisory capacity in `1..=N` — the backpressure threshold the
-    /// producer honours instead of the full `N` slots. The stealing
-    /// scheduler's occupancy-driven tuner shrinks it on chronically
-    /// near-empty rings (tighter batches, warmer caches) and grows it
-    /// back toward `N` under sustained pressure. Purely a push-side
-    /// gate: lowering it never drops queued items, it only makes the
-    /// ring report "full" earlier.
-    soft_cap: AtomicUsize,
 }
 
 // SAFETY: the producer/consumer halves hand `T`s across threads exactly
@@ -89,7 +81,6 @@ pub fn channel<T: Send, const N: usize>() -> (Producer<T, N>, Consumer<T, N>) {
         tail: AtomicUsize::new(0),
         closed: AtomicBool::new(false),
         abandoned: AtomicBool::new(false),
-        soft_cap: AtomicUsize::new(N),
     });
     (
         Producer { shared: Arc::clone(&shared), tail: 0, cached_head: 0 },
@@ -112,28 +103,16 @@ impl<T: Send, const N: usize> Producer<T, N> {
         N
     }
 
-    /// Current advisory capacity; see [`Producer::set_soft_capacity`].
-    pub fn soft_capacity(&self) -> usize {
-        self.shared.soft_cap.load(Ordering::Relaxed)
-    }
-
-    /// Sets the advisory capacity, clamped to `1..=N`. Backpressure
-    /// applies at the new threshold from the next push on; items already
-    /// queued beyond it stay queued (the occupancy just drains down).
-    pub fn set_soft_capacity(&mut self, cap: usize) {
-        self.shared.soft_cap.store(cap.clamp(1, N), Ordering::Relaxed);
-    }
-
-    /// Free slots under the advisory capacity, refreshing the
-    /// consumer-side view. An abandoned ring reports full capacity:
-    /// pushes to it always succeed (as drops when the slots are
-    /// genuinely full), so it must never read as backpressure.
+    /// Free slots, refreshing the consumer-side view. An abandoned ring
+    /// reports full capacity: pushes to it always succeed (as drops when
+    /// the slots are genuinely full), so it must never read as
+    /// backpressure.
     pub fn free(&mut self) -> usize {
         if self.is_abandoned() {
             return N;
         }
         self.cached_head = self.shared.head.load(Ordering::Acquire);
-        self.soft_capacity().saturating_sub(self.tail - self.cached_head)
+        N - (self.tail - self.cached_head)
     }
 
     /// Items currently queued, from the producer's view.
@@ -161,10 +140,9 @@ impl<T: Send, const N: usize> Producer<T, N> {
     /// backpressure from a dead downstream would otherwise wedge the
     /// producer forever.
     pub fn push(&mut self, item: T) -> Result<(), T> {
-        let cap = self.soft_capacity();
-        if self.tail - self.cached_head >= cap {
+        if self.tail - self.cached_head == N {
             self.cached_head = self.shared.head.load(Ordering::Acquire);
-            if self.tail - self.cached_head >= cap {
+            if self.tail - self.cached_head == N {
                 if self.is_abandoned() {
                     drop(item);
                     return Ok(());
@@ -172,8 +150,8 @@ impl<T: Send, const N: usize> Producer<T, N> {
                 return Err(item);
             }
         }
-        // SAFETY: the slot at `tail` is free (tail - head < cap <= N)
-        // and only the single producer writes slots at the tail.
+        // SAFETY: the slot at `tail` is free (tail - head < N) and only
+        // the single producer writes slots at the tail.
         unsafe { (*self.shared.buf[self.tail % N].get()).write(item) };
         self.tail += 1;
         self.shared.tail.store(self.tail, Ordering::Release);
@@ -197,7 +175,7 @@ impl<T: Send, const N: usize> Producer<T, N> {
         // Slots counted free against the actual head are safe to write
         // whatever the consumer does afterwards.
         self.cached_head = self.shared.head.load(Ordering::Acquire);
-        let n = self.soft_capacity().saturating_sub(self.tail - self.cached_head).min(items.len());
+        let n = (N - (self.tail - self.cached_head)).min(items.len());
         for item in items.drain(..n) {
             // SAFETY: `n` slots were free and we are the only producer.
             unsafe { (*self.shared.buf[self.tail % N].get()).write(item) };
@@ -325,14 +303,6 @@ pub trait PushRing<T>: Send {
     }
     /// Ring capacity.
     fn capacity(&self) -> usize;
-    /// Current advisory capacity (the backpressure threshold); defaults
-    /// to the hard capacity for rings without soft-capacity support.
-    fn soft_capacity(&self) -> usize {
-        self.capacity()
-    }
-    /// Sets the advisory capacity (clamped to `1..=capacity`); a no-op
-    /// for rings without soft-capacity support.
-    fn set_soft_capacity(&mut self, _cap: usize) {}
     /// Marks the stream finished.
     fn close(&mut self);
     /// Whether the consumer has abandoned the stream.
@@ -354,12 +324,6 @@ impl<T: Send, const N: usize> PushRing<T> for Producer<T, N> {
     }
     fn capacity(&self) -> usize {
         Producer::capacity(self)
-    }
-    fn soft_capacity(&self) -> usize {
-        Producer::soft_capacity(self)
-    }
-    fn set_soft_capacity(&mut self, cap: usize) {
-        Producer::set_soft_capacity(self, cap)
     }
     fn close(&mut self) {
         Producer::close(self)
@@ -448,37 +412,6 @@ mod tests {
         assert!(items.is_empty());
         assert_eq!(rx.pop_batch(&mut out, usize::MAX), 7);
         assert_eq!(out, (0..12).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn soft_capacity_gates_pushes_without_dropping_items() {
-        let (mut tx, mut rx) = channel::<u32, 8>();
-        assert_eq!(tx.soft_capacity(), 8);
-        for k in 0..6 {
-            tx.push(k).unwrap();
-        }
-        // Shrinking below the occupancy: queued items stay, new pushes
-        // backpressure immediately.
-        tx.set_soft_capacity(4);
-        assert_eq!(tx.soft_capacity(), 4);
-        assert_eq!(tx.free(), 0);
-        assert_eq!(tx.push(99), Err(99));
-        let mut extra = vec![7, 8];
-        assert_eq!(tx.push_batch(&mut extra), 0);
-        for want in 0..6 {
-            assert_eq!(rx.pop(), Some(want), "queued items survive the shrink");
-        }
-        // Occupancy drained under the soft cap: pushes flow again, but
-        // only up to the advisory threshold.
-        for k in 0..4 {
-            tx.push(10 + k).unwrap();
-        }
-        assert_eq!(tx.push(99), Err(99), "soft cap holds at 4/8");
-        tx.set_soft_capacity(1 << 20);
-        assert_eq!(tx.soft_capacity(), 8, "clamped to the hard capacity");
-        assert!(tx.push(14).is_ok());
-        tx.set_soft_capacity(0);
-        assert_eq!(tx.soft_capacity(), 1, "clamped to at least one slot");
     }
 
     #[test]

@@ -1,32 +1,20 @@
-//! The multi-threaded flowgraph schedulers.
+//! The multi-threaded flowgraph scheduler.
 //!
-//! Two implementations sit behind one seam, selected by
-//! [`SchedulerKind`] (builder call or the `SOFTLORA_SCHEDULER`
-//! environment variable):
+//! Blocks are assigned round-robin to `workers` std threads. Each worker
+//! loops over its blocks calling `work`; when a full pass moves nothing
+//! (every block waiting on an empty or full ring) the worker **parks**,
+//! and any worker that makes progress **unparks** the others — the
+//! push/pop that created work is always followed by a wake-up, and a
+//! short park timeout bounds the one benign race (a wake landing just
+//! before the park).
 //!
-//! * **Round-robin** — blocks are assigned statically to `workers` std
-//!   threads. Each worker loops over its blocks calling `work`; when a
-//!   full pass moves nothing (every block waiting on an empty or full
-//!   ring) the worker **parks**, and any worker that makes progress
-//!   **unparks** the others — the push/pop that created work is always
-//!   followed by a wake-up, and a short park timeout bounds the one
-//!   benign race (a wake landing just before the park).
-//! * **Work-stealing** — every worker owns a Chase-Lev deque
-//!   ([`crate::deque::StealDeque`]) of runnable block ids; a worker out
-//!   of local work **steals** from its peers before parking, so a graph
-//!   whose heavy blocks landed on one worker rebalances itself instead
-//!   of idling the rest of the pool. Each successful step also drives
-//!   the block's occupancy-based ring retuning (soft capacities).
-//!
-//! Under either policy the run ends when every block has finished:
-//! sources report [`WorkResult::Finished`](crate::WorkResult::Finished),
-//! closure propagates down the rings, and downstream blocks drain before
+//! The run ends when every block has finished: sources report
+//! [`WorkResult::Finished`](crate::WorkResult::Finished), closure
+//! propagates down the rings, and downstream blocks drain before
 //! finishing — no item is lost at shutdown.
 
-use crate::deque::{Steal, StealDeque};
 use crate::flowgraph::{Flowgraph, Node, StepState};
 use crate::observer::{RuntimeObserver, RuntimeReport};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -35,54 +23,29 @@ use std::time::{Duration, Instant};
 /// the window of the park/unpark race without busy-spinning.
 const PARK_TIMEOUT: Duration = Duration::from_micros(200);
 
-/// Which scheduling policy drives the worker threads.
+/// Compatibility name kept for existing callers; there is one scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// Static round-robin block assignment (the original scheduler).
+    /// Static round-robin block assignment.
     #[default]
     RoundRobin,
-    /// Per-worker Chase-Lev deques with steal-on-empty and dynamic ring
-    /// capacity tuning.
-    Stealing,
-}
-
-impl SchedulerKind {
-    /// Reads `SOFTLORA_SCHEDULER` (`roundrobin` | `stealing`, case
-    /// insensitive); unset or unrecognised values fall back to
-    /// [`SchedulerKind::RoundRobin`].
-    pub fn from_env() -> Self {
-        match std::env::var("SOFTLORA_SCHEDULER") {
-            Ok(v) if v.eq_ignore_ascii_case("stealing") => SchedulerKind::Stealing,
-            _ => SchedulerKind::RoundRobin,
-        }
-    }
-
-    /// Stable lowercase name (`roundrobin` / `stealing`) for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchedulerKind::RoundRobin => "roundrobin",
-            SchedulerKind::Stealing => "stealing",
-        }
-    }
 }
 
 /// Runs flowgraphs on a fixed pool of std worker threads.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     workers: usize,
-    kind: SchedulerKind,
 }
 
 impl Scheduler {
-    /// A scheduler with `workers` threads (at least one), using the
-    /// policy from `SOFTLORA_SCHEDULER` (default round-robin).
+    /// A scheduler with `workers` threads (at least one).
     pub fn new(workers: usize) -> Self {
-        Scheduler { workers: workers.max(1), kind: SchedulerKind::from_env() }
+        Scheduler { workers: workers.max(1) }
     }
 
-    /// A scheduler with an explicit policy, ignoring the environment.
-    pub fn with_kind(workers: usize, kind: SchedulerKind) -> Self {
-        Scheduler { workers: workers.max(1), kind }
+    /// Compatibility constructor kept for existing callers; same as [`Scheduler::new`].
+    pub fn with_kind(workers: usize, _kind: SchedulerKind) -> Self {
+        Self::new(workers)
     }
 
     /// Worker threads this scheduler spawns.
@@ -90,28 +53,14 @@ impl Scheduler {
         self.workers
     }
 
-    /// The scheduling policy this scheduler uses (a flowgraph built with
-    /// [`crate::FlowgraphBuilder::scheduler`] overrides it).
-    pub fn kind(&self) -> SchedulerKind {
-        self.kind
-    }
-
-    /// Runs `flowgraph` to completion and reports per-block counters.
+    /// Runs `flowgraph` to completion and reports per-block counters;
+    /// see the module docs.
     ///
     /// # Panics
     ///
     /// Re-raises any panic from a block's `work` on the calling thread.
     pub fn run(&self, flowgraph: Flowgraph) -> RuntimeReport {
-        let kind = flowgraph.scheduler_kind.unwrap_or(self.kind);
-        match kind {
-            SchedulerKind::RoundRobin => self.run_round_robin(flowgraph),
-            SchedulerKind::Stealing => self.run_stealing(flowgraph),
-        }
-    }
-
-    /// The original static-assignment scheduler; see the module docs.
-    fn run_round_robin(&self, flowgraph: Flowgraph) -> RuntimeReport {
-        let Flowgraph { nodes, observers, scheduler_kind: _ } = flowgraph;
+        let Flowgraph { nodes, observers } = flowgraph;
         let n_workers = self.workers.min(nodes.len()).max(1);
         let started = Instant::now();
 
@@ -198,171 +147,6 @@ impl Scheduler {
             blocks: finished.iter().map(|(_, node)| node.report()).collect(),
         }
     }
-
-    /// The work-stealing scheduler: per-worker Chase-Lev deques of block
-    /// ids, steal-on-empty before parking, occupancy-driven ring tuning.
-    fn run_stealing(&self, flowgraph: Flowgraph) -> RuntimeReport {
-        let Flowgraph { nodes, observers, scheduler_kind: _ } = flowgraph;
-        let n_workers = self.workers.min(nodes.len()).max(1);
-        let n_nodes = nodes.len();
-        let started = Instant::now();
-
-        // The shared node table, indexed by block id. A node never
-        // leaves its slot; exclusivity comes from the deque invariant —
-        // each id lives in exactly one deque at a time (only whoever
-        // dequeued it re-enqueues it), so every slot lock below is
-        // uncontended. The Mutex shares the table across workers, it
-        // does not arbitrate.
-        let slots: Vec<Mutex<Option<Box<dyn Node>>>> =
-            nodes.into_iter().map(|n| Mutex::new(Some(n))).collect();
-        let remaining = AtomicUsize::new(n_nodes);
-
-        // Every deque can hold every id, so push can never fail.
-        let deques: Vec<StealDeque> = (0..n_workers).map(|_| StealDeque::new(n_nodes)).collect();
-        for id in 0..n_nodes {
-            deques[id % n_workers].push(id).expect("deque sized for all ids");
-        }
-
-        let peers: Arc<Mutex<Vec<thread::Thread>>> = Arc::new(Mutex::new(Vec::new()));
-        let slots_ref = &slots;
-        let deques_ref = &deques;
-        let remaining_ref = &remaining;
-
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers)
-                .map(|worker| {
-                    let peers = Arc::clone(&peers);
-                    let observers: Vec<Arc<dyn RuntimeObserver>> = observers.clone();
-                    scope.spawn(move || {
-                        peers.lock().expect("scheduler peers poisoned").push(thread::current());
-                        // Same registration-snapshot wake idiom as the
-                        // round-robin loop.
-                        let mut peer_snapshot: Option<Vec<thread::Thread>> = None;
-                        let wake = |snapshot: &mut Option<Vec<thread::Thread>>| {
-                            if let Some(list) = snapshot {
-                                for t in list.iter() {
-                                    t.unpark();
-                                }
-                                return;
-                            }
-                            let list = peers.lock().expect("scheduler peers poisoned");
-                            for t in list.iter() {
-                                t.unpark();
-                            }
-                            if list.len() == n_workers {
-                                *snapshot = Some(list.clone());
-                            }
-                        };
-                        let mut consecutive_idle = 0usize;
-                        loop {
-                            let rem = remaining_ref.load(Ordering::Acquire);
-                            if rem == 0 {
-                                wake(&mut peer_snapshot);
-                                break;
-                            }
-                            // Local LIFO first (cache-warm) — except
-                            // while the local set is idling: a LIFO pop
-                            // would re-run the block just re-enqueued as
-                            // Idle forever and starve the rest of the
-                            // local deque (the source behind a blocked
-                            // sink, say), so rotate FIFO through our own
-                            // top instead. Then sweep the peers' deques
-                            // oldest-first.
-                            let local = if consecutive_idle > 0 {
-                                match deques_ref[worker].steal() {
-                                    Steal::Success(id) => Some(id),
-                                    _ => deques_ref[worker].pop(),
-                                }
-                            } else {
-                                deques_ref[worker].pop()
-                            };
-                            let id = local.or_else(|| {
-                                (1..n_workers).find_map(|k| {
-                                    let victim = &deques_ref[(worker + k) % n_workers];
-                                    loop {
-                                        match victim.steal() {
-                                            Steal::Success(id) => {
-                                                for obs in &observers {
-                                                    obs.on_steal(worker);
-                                                }
-                                                return Some(id);
-                                            }
-                                            Steal::Retry => std::hint::spin_loop(),
-                                            Steal::Empty => return None,
-                                        }
-                                    }
-                                })
-                            });
-                            let Some(id) = id else {
-                                // Nothing local, nothing stealable: every
-                                // runnable id is on a peer mid-step. Park
-                                // until someone re-enqueues (the timeout
-                                // bounds the benign wake-before-park race).
-                                for obs in &observers {
-                                    obs.on_park(worker);
-                                }
-                                thread::park_timeout(PARK_TIMEOUT);
-                                continue;
-                            };
-                            let state = {
-                                let mut slot = slots_ref[id].lock().expect("node slot poisoned");
-                                let node = slot.as_mut().expect("nodes never leave their slots");
-                                let state = node.step(&observers);
-                                node.tune();
-                                (!node.is_finished()).then_some(state)
-                            };
-                            match state {
-                                None => {
-                                    // Finished: the id is not re-enqueued;
-                                    // wake the peers so they notice closed
-                                    // rings (and, eventually, termination).
-                                    remaining_ref.fetch_sub(1, Ordering::AcqRel);
-                                    consecutive_idle = 0;
-                                    wake(&mut peer_snapshot);
-                                }
-                                Some(StepState::Progress) => {
-                                    deques_ref[worker].push(id).expect("deque sized for all ids");
-                                    consecutive_idle = 0;
-                                    wake(&mut peer_snapshot);
-                                }
-                                Some(StepState::Idle) => {
-                                    deques_ref[worker].push(id).expect("deque sized for all ids");
-                                    consecutive_idle += 1;
-                                    // One full queue's worth of idle steps:
-                                    // everything runnable is blocked on a
-                                    // ring; park instead of spinning.
-                                    if consecutive_idle > rem {
-                                        for obs in &observers {
-                                            obs.on_park(worker);
-                                        }
-                                        thread::park_timeout(PARK_TIMEOUT);
-                                        consecutive_idle = 0;
-                                    }
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("flowgraph worker panicked");
-            }
-        });
-
-        RuntimeReport {
-            elapsed_s: started.elapsed().as_secs_f64(),
-            workers: n_workers,
-            blocks: slots
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("node slot poisoned")
-                        .expect("nodes never leave their slots")
-                        .report()
-                })
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -372,9 +156,14 @@ mod tests {
     use crate::flowgraph::FlowgraphBuilder;
     use crate::observer::RuntimeStats;
 
-    fn pipeline_sum(workers: usize, count: u64) -> (u64, RuntimeReport) {
+    /// Runs source → double → sum over `count` items on `scheduler`,
+    /// optionally pinning the builder's (compatibility) scheduler kind.
+    fn run_sum(scheduler: &Scheduler, count: u64, pin: bool) -> (u64, RuntimeReport) {
         let sum = Arc::new(Mutex::new(0u64));
         let mut b = FlowgraphBuilder::new();
+        if pin {
+            b.scheduler(SchedulerKind::RoundRobin);
+        }
         let mut k = 0u64;
         let src = b.source(FnSource::new("numbers", move || {
             k += 1;
@@ -388,9 +177,13 @@ mod tests {
                 *sink_sum.lock().unwrap() += x;
             }),
         );
-        let report = Scheduler::new(workers).run(b.build().unwrap());
+        let report = scheduler.run(b.build().unwrap());
         let total = *sum.lock().unwrap();
         (total, report)
+    }
+
+    fn pipeline_sum(workers: usize, count: u64) -> (u64, RuntimeReport) {
+        run_sum(&Scheduler::new(workers), count, false)
     }
 
     #[test]
@@ -491,117 +284,24 @@ mod tests {
         assert!(report.workers <= 3, "workers clamp to block count");
     }
 
-    fn stealing_pipeline_sum(workers: usize, count: u64) -> (u64, RuntimeReport) {
-        let sum = Arc::new(Mutex::new(0u64));
-        let mut b = FlowgraphBuilder::new();
-        b.scheduler(SchedulerKind::Stealing);
-        let mut k = 0u64;
-        let src = b.source(FnSource::new("numbers", move || {
-            k += 1;
-            (k <= count).then_some(k)
-        }));
-        let doubled = b.stage(src, FnBlock::new("double", |x: u64| 2 * x));
-        let sink_sum = Arc::clone(&sum);
-        b.sink(
-            &[doubled],
-            FnSink::new("sum", move |x: u64| {
-                *sink_sum.lock().unwrap() += x;
-            }),
-        );
-        let report = Scheduler::new(workers).run(b.build().unwrap());
-        let total = *sum.lock().unwrap();
-        (total, report)
-    }
-
-    #[test]
-    fn stealing_drains_every_item() {
-        for workers in [1, 2, 3, 8] {
-            let (total, report) = stealing_pipeline_sum(workers, 8_000);
-            assert_eq!(total, 8_000 * 8_001, "workers={workers}");
-            assert_eq!(report.block("numbers").unwrap().items_out, 8_000);
-            assert_eq!(report.block("double").unwrap().items_in, 8_000);
-            assert_eq!(report.block("double").unwrap().items_out, 8_000);
-            assert_eq!(report.block("sum").unwrap().items_in, 8_000);
-        }
-    }
-
-    #[test]
-    fn stealing_report_keeps_insertion_order() {
-        let (_, report) = stealing_pipeline_sum(2, 100);
-        let names: Vec<&str> = report.blocks.iter().map(|b| b.name.as_str()).collect();
-        assert_eq!(names, vec!["numbers", "double", "sum"]);
-    }
-
-    #[test]
-    fn stealing_observer_sees_work_and_finish() {
-        let stats = Arc::new(RuntimeStats::new());
-        let mut b = FlowgraphBuilder::new();
-        b.scheduler(SchedulerKind::Stealing);
-        let mut k = 0u64;
-        let src = b.source(FnSource::new("numbers", move || {
-            k += 1;
-            (k <= 500).then_some(k)
-        }));
-        b.observer(Arc::clone(&stats) as Arc<dyn RuntimeObserver>);
-        b.sink(&[src], FnSink::new("devnull", |_x: u64| {}));
-        let report = Scheduler::new(2).run(b.build().unwrap());
-        assert_eq!(stats.block("numbers").items_out, 500);
-        assert_eq!(stats.block("devnull").items_in, 500);
-        assert_eq!(stats.finished_blocks(), 2);
-        assert_eq!(report.blocks.len(), 2);
-    }
-
-    #[test]
-    fn stealing_early_sink_finish_unwinds_the_graph() {
-        use crate::block::{Block, WorkIo, WorkResult};
-        struct QuitterSink {
-            seen: usize,
-        }
-        impl Block for QuitterSink {
-            type In = u64;
-            type Out = ();
-            fn name(&self) -> &str {
-                "quitter"
-            }
-            fn work(&mut self, io: &mut WorkIo<'_, u64, ()>) -> WorkResult {
-                match io.input().pop() {
-                    Some(_) => {
-                        self.seen += 1;
-                        if self.seen >= 10 {
-                            WorkResult::Finished
-                        } else {
-                            WorkResult::Produced(1)
-                        }
-                    }
-                    None if io.input().is_finished() => WorkResult::Finished,
-                    None => WorkResult::NeedsInput,
-                }
-            }
-        }
-        let mut b = FlowgraphBuilder::new();
-        b.scheduler(SchedulerKind::Stealing);
-        let mut k = 0u64;
-        let src = b.source(FnSource::new("numbers", move || {
-            k += 1;
-            (k <= 100_000).then_some(k)
-        }));
-        let mapped = b.stage(src, FnBlock::new("map", |x: u64| x));
-        b.sink(&[mapped], QuitterSink { seen: 0 });
-        let report = Scheduler::new(2).run(b.build().unwrap());
-        assert_eq!(report.block("quitter").unwrap().items_in, 10);
-        assert_eq!(report.blocks.len(), 3, "every block finished");
-    }
-
     #[test]
     fn kind_selection_defaults_and_overrides() {
-        // Without SOFTLORA_SCHEDULER in the test environment the default
-        // is round-robin; a builder pin always wins over the scheduler's
-        // own kind.
+        // The compatibility names select nothing: `with_kind` and a
+        // builder pin drain the same graph exactly as `Scheduler::new`.
         assert_eq!(SchedulerKind::default(), SchedulerKind::RoundRobin);
-        assert_eq!(SchedulerKind::RoundRobin.name(), "roundrobin");
-        assert_eq!(SchedulerKind::Stealing.name(), "stealing");
-        let s = Scheduler::with_kind(4, SchedulerKind::Stealing);
-        assert_eq!(s.kind(), SchedulerKind::Stealing);
-        assert_eq!(s.workers(), 4);
+        let s = Scheduler::with_kind(3, SchedulerKind::RoundRobin);
+        assert_eq!(s.workers(), Scheduler::new(3).workers());
+        let (want, base) = run_sum(&Scheduler::new(3), 5_000, false);
+        for (total, report) in [run_sum(&s, 5_000, false), run_sum(&Scheduler::new(3), 5_000, true)]
+        {
+            assert_eq!(total, want);
+            assert_eq!(report.workers, base.workers);
+            for (got, expected) in report.blocks.iter().zip(&base.blocks) {
+                assert_eq!(
+                    (&got.name, got.items_in, got.items_out),
+                    (&expected.name, expected.items_in, expected.items_out)
+                );
+            }
+        }
     }
 }

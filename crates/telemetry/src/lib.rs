@@ -431,12 +431,6 @@ fn json_escape(s: &str) -> String {
 }
 
 impl RegistrySnapshot {
-    /// First series whose name matches `name` (any labels).
-    #[must_use]
-    pub fn find(&self, name: &str) -> Option<&SeriesSnapshot> {
-        self.series.iter().find(|s| s.name == name)
-    }
-
     /// Series with exactly this name and label set.
     #[must_use]
     pub fn find_with(&self, name: &str, labels: &[(&str, &str)]) -> Option<&SeriesSnapshot> {
@@ -448,6 +442,20 @@ impl RegistrySnapshot {
     #[must_use]
     pub fn counter_sum(&self, name: &str) -> u64 {
         self.series.iter().filter(|s| s.name == name).filter_map(|s| s.value.as_counter()).sum()
+    }
+
+    /// Bucket-wise merge of all histogram series whose name matches
+    /// `name`, across every label set; `None` when there are none.
+    #[must_use]
+    pub fn histogram_sum(&self, name: &str) -> Option<HistogramSnapshot> {
+        self.series.iter().filter(|s| s.name == name).filter_map(|s| s.value.as_histogram()).fold(
+            None,
+            |total, h| {
+                let mut total = total.unwrap_or_default();
+                total.merge(h);
+                Some(total)
+            },
+        )
     }
 
     /// Prometheus-style text exposition.
@@ -642,6 +650,26 @@ mod tests {
         r.counter("totals").inc();
         r.counter_with("depth", &[("shard", "7")]).inc();
         assert_eq!(r.snapshot().counter_sum("depth"), 1);
+    }
+
+    #[test]
+    fn histogram_sum_merges_every_labelled_series() {
+        let r = Registry::new();
+        // An idle shard registers first and sorts first: an empty
+        // series must not stand in for the family.
+        let _idle = r.histogram_with("commit_ns", &[("shard", "0")]);
+        let busy = r.histogram_with("commit_ns", &[("shard", "1")]);
+        busy.record(100);
+        busy.record(3000);
+        r.histogram_with("commit_ns", &[("shard", "2")]).record(70);
+        // The same three samples recorded into one cell.
+        let all = r.histogram("all_ns");
+        for v in [100, 3000, 70] {
+            all.record(v);
+        }
+        let snap = r.snapshot();
+        assert_eq!(snap.histogram_sum("commit_ns"), Some(all.snapshot()));
+        assert_eq!(snap.histogram_sum("absent"), None);
     }
 
     #[test]

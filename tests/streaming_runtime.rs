@@ -1,13 +1,13 @@
 //! Streaming-runtime acceptance test: the flowgraph execution of the
 //! gateway + network-server stack emits **bit-for-bit** the same verdicts
 //! as the batch path on a pinned fleet scenario — including an attack
-//! phase — and loses no uplink at shutdown. Every graph runs under
-//! **both** scheduler policies (static round-robin and work-stealing),
-//! pinning that the scheduling policy cannot change a single verdict.
+//! phase — and loses no uplink at shutdown. The sequential tail runs on
+//! 3 worker threads and the sharded tail on 4, so items cross threads
+//! at every ring hop without changing a single verdict.
 
 use softlora_repro::attack::FrameDelayAttack;
 use softlora_repro::phy::{PhyConfig, SpreadingFactor};
-use softlora_repro::runtime::{FlowgraphBuilder, RuntimeStats, Scheduler, SchedulerKind};
+use softlora_repro::runtime::{FlowgraphBuilder, RuntimeStats, Scheduler};
 use softlora_repro::sim::{
     FleetDeployment, FrameSource, HonestChannel, Position, Scenario, UplinkDeliveries,
 };
@@ -106,59 +106,53 @@ fn flowgraph_matches_batch_bit_for_bit() {
     let batch_detection = batch_server.detection_stats();
 
     // Streaming path: the identical server, dismantled into flowgraph
-    // blocks and run on 3 workers — once per scheduler policy.
-    for kind in [SchedulerKind::RoundRobin, SchedulerKind::Stealing] {
-        let stream_observer = Arc::new(Mutex::new(Collect::default()));
-        let (fronts, mut sink) = build_server(&pinned_scenario()).into_streaming();
-        assert_eq!(fronts.len(), GATEWAYS);
-        sink.attach_observer(Box::new(Arc::clone(&stream_observer)));
+    // blocks and run on 3 workers.
+    let stream_observer = Arc::new(Mutex::new(Collect::default()));
+    let (fronts, mut sink) = build_server(&pinned_scenario()).into_streaming();
+    assert_eq!(fronts.len(), GATEWAYS);
+    sink.attach_observer(Box::new(Arc::clone(&stream_observer)));
 
-        let runtime_stats = Arc::new(RuntimeStats::new());
-        let mut b = FlowgraphBuilder::new();
-        b.observer(Arc::clone(&runtime_stats) as _);
-        let src = b.source(FrameSource::from_groups(groups.clone()));
-        let parts: Vec<_> = fronts.into_iter().map(|front| b.stage(src, front)).collect();
-        b.sink(&parts, sink);
-        let report = Scheduler::with_kind(3, kind).run(b.build().expect("valid flowgraph"));
+    let runtime_stats = Arc::new(RuntimeStats::new());
+    let mut b = FlowgraphBuilder::new();
+    b.observer(Arc::clone(&runtime_stats) as _);
+    let src = b.source(FrameSource::from_groups(groups.clone()));
+    let parts: Vec<_> = fronts.into_iter().map(|front| b.stage(src, front)).collect();
+    b.sink(&parts, sink);
+    let report = Scheduler::new(3).run(b.build().expect("valid flowgraph"));
 
-        // 1. Verdict equivalence, bit for bit, in uplink order.
-        let streamed = stream_observer.lock().unwrap();
-        assert_eq!(
-            streamed.verdicts.len(),
-            batch_verdicts.len(),
-            "[{kind:?}] no uplink lost at shutdown"
-        );
-        for ((uplink, verdict), expected) in streamed.verdicts.iter().zip(batch_verdicts.iter()) {
-            assert_eq!(verdict, expected, "[{kind:?}] uplink {uplink}");
-        }
-
-        // 2. Both observer streams saw identical sequences and final stats.
-        let batched = batch_observer.lock().unwrap();
-        assert_eq!(streamed.verdicts, batched.verdicts, "[{kind:?}]");
-        assert_eq!(streamed.last_stats, Some(batch_stats), "[{kind:?}]");
-        assert_eq!(streamed.last_stats, batched.last_stats, "[{kind:?}]");
-
-        // 3. The workload actually exercised the defence: accepted clean
-        //    traffic and flagged replays.
-        assert!(batch_stats.accepted > 5, "{batch_stats:?}");
-        assert!(
-            batch_stats.fb_replays_flagged + batch_stats.cross_gateway_replays_flagged > 0,
-            "{batch_stats:?}"
-        );
-        assert!(batch_detection.true_positives > 0, "{batch_detection:?}");
-
-        // 4. Runtime accounting: every group flowed through every front
-        //    block and all parts reached the sink, under either policy.
-        let n = groups.len() as u64;
-        assert_eq!(report.block("frame-source").unwrap().items_out, n * GATEWAYS as u64);
-        for g in 0..GATEWAYS {
-            let front = report.block(&format!("gateway-front-{g}")).unwrap();
-            assert_eq!(front.items_in, n, "[{kind:?}]");
-            assert_eq!(front.items_out, n, "[{kind:?}]");
-        }
-        assert_eq!(report.block("server-sink").unwrap().items_in, n * GATEWAYS as u64);
-        assert_eq!(runtime_stats.finished_blocks(), (GATEWAYS + 2) as u64, "[{kind:?}]");
+    // 1. Verdict equivalence, bit for bit, in uplink order.
+    let streamed = stream_observer.lock().unwrap();
+    assert_eq!(streamed.verdicts.len(), batch_verdicts.len(), "no uplink lost at shutdown");
+    for ((uplink, verdict), expected) in streamed.verdicts.iter().zip(batch_verdicts.iter()) {
+        assert_eq!(verdict, expected, "uplink {uplink}");
     }
+
+    // 2. Both observer streams saw identical sequences and final stats.
+    let batched = batch_observer.lock().unwrap();
+    assert_eq!(streamed.verdicts, batched.verdicts);
+    assert_eq!(streamed.last_stats, Some(batch_stats));
+    assert_eq!(streamed.last_stats, batched.last_stats);
+
+    // 3. The workload actually exercised the defence: accepted clean
+    //    traffic and flagged replays.
+    assert!(batch_stats.accepted > 5, "{batch_stats:?}");
+    assert!(
+        batch_stats.fb_replays_flagged + batch_stats.cross_gateway_replays_flagged > 0,
+        "{batch_stats:?}"
+    );
+    assert!(batch_detection.true_positives > 0, "{batch_detection:?}");
+
+    // 4. Runtime accounting: every group flowed through every front
+    //    block and all parts reached the sink.
+    let n = groups.len() as u64;
+    assert_eq!(report.block("frame-source").unwrap().items_out, n * GATEWAYS as u64);
+    for g in 0..GATEWAYS {
+        let front = report.block(&format!("gateway-front-{g}")).unwrap();
+        assert_eq!(front.items_in, n);
+        assert_eq!(front.items_out, n);
+    }
+    assert_eq!(report.block("server-sink").unwrap().items_in, n * GATEWAYS as u64);
+    assert_eq!(runtime_stats.finished_blocks(), (GATEWAYS + 2) as u64);
 }
 
 #[test]
@@ -177,59 +171,51 @@ fn sharded_flowgraph_matches_batch_bit_for_bit() {
 
     // Streaming path with the tail parallelised INSIDE the flowgraph:
     // source → per-gateway fronts → shard router → per-shard sinks.
-    // Run once per scheduler policy.
-    for kind in [SchedulerKind::RoundRobin, SchedulerKind::Stealing] {
-        let stream_observer = Arc::new(Mutex::new(Collect::default()));
-        let mut server = build_server_sharded(&pinned_scenario(), SHARDS);
-        server.attach_observer(Box::new(Arc::clone(&stream_observer)));
-        let (fronts, router, sinks) = server.into_sharded_streaming();
-        assert_eq!(fronts.len(), GATEWAYS);
-        assert_eq!(sinks.len(), SHARDS);
+    let stream_observer = Arc::new(Mutex::new(Collect::default()));
+    let mut server = build_server_sharded(&pinned_scenario(), SHARDS);
+    server.attach_observer(Box::new(Arc::clone(&stream_observer)));
+    let (fronts, router, sinks) = server.into_sharded_streaming();
+    assert_eq!(fronts.len(), GATEWAYS);
+    assert_eq!(sinks.len(), SHARDS);
 
-        let runtime_stats = Arc::new(RuntimeStats::new());
-        let mut b = FlowgraphBuilder::new();
-        b.observer(Arc::clone(&runtime_stats) as _);
-        b.scheduler(kind);
-        let src = b.source(FrameSource::from_groups(groups.clone()));
-        let parts: Vec<_> = fronts.into_iter().map(|front| b.stage(src, front)).collect();
-        let routed = b.merge(&parts, router);
-        for sink in sinks {
-            b.sink(&[routed], sink);
-        }
-        let report = Scheduler::new(4).run(b.build().expect("valid flowgraph"));
-
-        // 1. Per-uplink verdicts are bit-for-bit the batch path's. Shard
-        //    sinks commit concurrently, so the observer sees them in
-        //    cross-shard commit order — compare keyed by uplink id.
-        let streamed = stream_observer.lock().unwrap();
-        assert_eq!(
-            streamed.verdicts.len(),
-            batch_verdicts.len(),
-            "[{kind:?}] no uplink lost at shutdown"
-        );
-        let mut by_uplink: Vec<(u64, ServerVerdict)> = streamed.verdicts.clone();
-        by_uplink.sort_by_key(|(uplink, _)| *uplink);
-        for ((uplink, verdict), (group, expected)) in
-            by_uplink.iter().zip(groups.iter().zip(batch_verdicts.iter()))
-        {
-            assert_eq!(uplink, &group.uplink, "[{kind:?}]");
-            assert_eq!(verdict, expected, "[{kind:?}] uplink {uplink}");
-        }
-
-        // 2. Final statistics are exact: the observer hub accumulates every
-        //    shard's deltas, so the last on_stats snapshot is the total.
-        assert_eq!(streamed.last_stats, Some(batch_stats), "[{kind:?}]");
-        assert!(batch_detection.true_positives > 0, "{batch_detection:?}");
-
-        // 3. Runtime accounting: the router consumed every gateway part and
-        //    the shard sinks jointly drained every routed group.
-        let n = groups.len() as u64;
-        let router_report = report.block("shard-router").unwrap();
-        assert_eq!(router_report.items_in, n * GATEWAYS as u64, "[{kind:?}]");
-        assert_eq!(router_report.items_out, n, "[{kind:?}]");
-        let sunk: u64 =
-            (0..SHARDS).map(|s| report.block(&format!("shard-sink-{s}")).unwrap().items_in).sum();
-        assert_eq!(sunk, n, "[{kind:?}]");
-        assert_eq!(runtime_stats.finished_blocks(), (GATEWAYS + 2 + SHARDS) as u64, "[{kind:?}]");
+    let runtime_stats = Arc::new(RuntimeStats::new());
+    let mut b = FlowgraphBuilder::new();
+    b.observer(Arc::clone(&runtime_stats) as _);
+    let src = b.source(FrameSource::from_groups(groups.clone()));
+    let parts: Vec<_> = fronts.into_iter().map(|front| b.stage(src, front)).collect();
+    let routed = b.merge(&parts, router);
+    for sink in sinks {
+        b.sink(&[routed], sink);
     }
+    let report = Scheduler::new(4).run(b.build().expect("valid flowgraph"));
+
+    // 1. Per-uplink verdicts are bit-for-bit the batch path's. Shard
+    //    sinks commit concurrently, so the observer sees them in
+    //    cross-shard commit order — compare keyed by uplink id.
+    let streamed = stream_observer.lock().unwrap();
+    assert_eq!(streamed.verdicts.len(), batch_verdicts.len(), "no uplink lost at shutdown");
+    let mut by_uplink: Vec<(u64, ServerVerdict)> = streamed.verdicts.clone();
+    by_uplink.sort_by_key(|(uplink, _)| *uplink);
+    for ((uplink, verdict), (group, expected)) in
+        by_uplink.iter().zip(groups.iter().zip(batch_verdicts.iter()))
+    {
+        assert_eq!(uplink, &group.uplink);
+        assert_eq!(verdict, expected, "uplink {uplink}");
+    }
+
+    // 2. Final statistics are exact: the observer hub accumulates every
+    //    shard's deltas, so the last on_stats snapshot is the total.
+    assert_eq!(streamed.last_stats, Some(batch_stats));
+    assert!(batch_detection.true_positives > 0, "{batch_detection:?}");
+
+    // 3. Runtime accounting: the router consumed every gateway part and
+    //    the shard sinks jointly drained every routed group.
+    let n = groups.len() as u64;
+    let router_report = report.block("shard-router").unwrap();
+    assert_eq!(router_report.items_in, n * GATEWAYS as u64);
+    assert_eq!(router_report.items_out, n);
+    let sunk: u64 =
+        (0..SHARDS).map(|s| report.block(&format!("shard-sink-{s}")).unwrap().items_in).sum();
+    assert_eq!(sunk, n);
+    assert_eq!(runtime_stats.finished_blocks(), (GATEWAYS + 2 + SHARDS) as u64);
 }

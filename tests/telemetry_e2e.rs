@@ -60,7 +60,10 @@ fn pinned_scenario() -> Scenario {
 }
 
 fn build_server(scenario: &Scenario, persist: Option<&str>) -> NetworkServer {
-    let mut builder = NetworkServer::builder(phy()).adc_quantisation(false).warmup_frames(2);
+    // Two shards whatever the host's core count, so the per-shard
+    // series this test reads are merged families, never one shard's.
+    let mut builder =
+        NetworkServer::builder(phy()).adc_quantisation(false).warmup_frames(2).shards(2);
     for g in 0..GATEWAYS {
         builder = builder.gateway(g as u64 + 1);
     }
@@ -137,7 +140,7 @@ fn metrics_scrape_covers_every_layer() {
         ("net", "net_groups_committed_total"),
     ] {
         assert!(
-            snapshot.find(family).is_some(),
+            snapshot.series.iter().any(|s| s.name == family),
             "{layer} series {family} missing from the wire snapshot; got: {}",
             snapshot.series.iter().map(|s| s.key()).collect::<Vec<_>>().join(", ")
         );
@@ -151,15 +154,9 @@ fn metrics_scrape_covers_every_layer() {
         .and_then(|s| s.value.as_histogram())
         .expect("radio stage histogram");
     assert!(stage.count > 0, "radio stage must have recorded latencies");
-    let commit = snapshot
-        .find("server_commit_ns")
-        .and_then(|s| s.value.as_histogram())
-        .expect("commit histogram");
+    let commit = snapshot.histogram_sum("server_commit_ns").expect("commit histogram");
     assert!(commit.count > 0, "shard commits must have recorded latencies");
-    let wal = snapshot
-        .find("store_wal_append_ns")
-        .and_then(|s| s.value.as_histogram())
-        .expect("WAL append histogram");
+    let wal = snapshot.histogram_sum("store_wal_append_ns").expect("WAL append histogram");
     assert!(wal.count > 0, "persistence must have appended WAL records");
     assert!(
         snapshot.counter_sum("net_datagrams_total") > 0,
