@@ -14,6 +14,8 @@ fn bench_estimators(c: &mut Criterion) {
     let estimator = FbEstimator::new(&phy, 2.4e6);
     let cap = common::capture(&phy, 2, -22_000.0, 1.0, 400, 1);
     let noisy = common::with_noise(&cap, 0.0, false, 2);
+    // The regime the SNR policy routes to the matched filter.
+    let faint = common::with_noise(&cap, -20.0, false, 3);
 
     let mut group = c.benchmark_group("fb_estimation_sf7");
     group.bench_function("linear_regression", |b| {
@@ -36,6 +38,18 @@ fn bench_estimators(c: &mut Criterion) {
                     noisy.true_onset,
                     FbMethod::MatchedFilter,
                     1.0,
+                )
+                .expect("mf")
+        })
+    });
+    group.bench_function("matched_filter_minus_20db", |b| {
+        b.iter(|| {
+            estimator
+                .estimate_from_capture(
+                    black_box(&faint),
+                    faint.true_onset,
+                    FbMethod::MatchedFilter,
+                    100.0,
                 )
                 .expect("mf")
         })

@@ -1,5 +1,8 @@
 //! Reproduces paper Fig. 14: least-squares FB error vs SNR under Gaussian
 //! and "real" noise.
+//!
+//! Exits nonzero when a Gaussian-noise median error exceeds the paper's
+//! bound ([`fig14::median_bound_hz`]: 120 Hz, 180 Hz at −25 dB).
 use softlora::fb_estimator::FbMethod;
 use softlora_bench::experiments::fig14;
 use softlora_bench::table::Table;
@@ -27,6 +30,8 @@ fn main() {
     }
     println!("{t}");
     println!("Paper bound: {} Hz (0.14 ppm) down to −25 dB.", fig14::PAPER_BOUND_HZ);
+    let out_of_bound: Vec<_> =
+        gauss.iter().filter(|p| p.median_error_hz >= fig14::median_bound_hz(p.snr_db)).collect();
     println!();
     println!("Paper-faithful DE solver at selected SNRs (3 trials — slower):");
     let de = fig14::run(&[-10.0, 0.0, 10.0], false, 3, FbMethod::DifferentialEvolution);
@@ -35,4 +40,15 @@ fn main() {
         t2.row([format!("{:.0}", p.snr_db), format!("{:.0}", p.median_error_hz)]);
     }
     println!("{t2}");
+    if !out_of_bound.is_empty() {
+        for p in &out_of_bound {
+            eprintln!(
+                "FAIL: {:.0} dB Gaussian median {:.0} Hz, bound {:.0} Hz",
+                p.snr_db,
+                p.median_error_hz,
+                fig14::median_bound_hz(p.snr_db)
+            );
+        }
+        std::process::exit(1);
+    }
 }

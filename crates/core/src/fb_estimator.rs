@@ -17,6 +17,20 @@
 //!   optimal `θ` is closed-form, reducing the search to maximising
 //!   `|⟨z, chirp_δ⟩|` over `δ` alone — a dechirped FFT plus a golden-section
 //!   polish. Used as the production path on the gateway.
+//!
+//! The matched filter works at the search band's rate, not the capture
+//! rate. Dechirping turns the two preamble chirps into a tone at `δ`, and
+//! `search_range_hz` (±34 kHz by default) is a few percent of the 2.4 MHz
+//! capture rate. So the coarse search boxcar-decimates the dechirped tone
+//! by `D` before a 4×-zero-padded FFT. `D` is the largest power of two
+//! whose decimated Nyquist rate is at least four times the band edge
+//! (`fs / 2D ≥ 4·max(|lo|, |hi|)`, D = 8 by default), which keeps the
+//! boxcar's droop at the band edge within 0.2 dB and keeps the aliases of
+//! the band out of it. The FFT length shrinks by `D`, so its bin grid
+//! (`fs / 32768` ≈ 73 Hz at SF7) is the one the full-rate FFT had. The
+//! golden-section polish then runs on the full-rate dechirped sequence and
+//! evaluates each candidate `δ` with a phasor recurrence: one `cis` per
+//! evaluation, one complex multiply per sample.
 
 use crate::SoftLoraError;
 use softlora_dsp::fft::next_pow2;
@@ -199,20 +213,46 @@ impl FbEstimator {
         Ok(())
     }
 
-    /// Fast least-squares estimate: coarse dechirped FFT, then a
-    /// golden-section polish of the correlation magnitude.
+    /// The boxcar decimation factor `D` of the matched filter's coarse
+    /// search: the largest power of two with
+    /// `fs / 2D ≥ 4·max(|lo|, |hi|)`, capped at [`MAX_DECIMATION`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SoftLoraError::Capture`] when the search range reaches
+    /// past ±Nyquist of the capture rate.
+    fn decimation(&self) -> Result<usize, SoftLoraError> {
+        let (lo, hi) = self.search_range_hz;
+        let edge = lo.abs().max(hi.abs());
+        // A NaN bound passes here and then matches no bin.
+        if edge > self.sample_rate / 2.0 {
+            return Err(SoftLoraError::Capture { reason: "FB search range outside ±Nyquist" });
+        }
+        let mut d = 1;
+        while d < MAX_DECIMATION && self.sample_rate / (4.0 * d as f64) >= 4.0 * edge {
+            d *= 2;
+        }
+        Ok(d)
+    }
+
+    /// Fast least-squares estimate: a decimated dechirp FFT finds the
+    /// coarse peak, then a golden-section search polishes the correlation
+    /// magnitude on the full-rate dechirped sequence. The coarse FFT runs
+    /// on the tone boxcar-decimated by `D` (see the module docs), with the
+    /// same ≈73 Hz bin grid as a 4×-padded full-rate FFT.
     ///
     /// # Errors
     ///
     /// Returns [`SoftLoraError::Capture`] when fewer than one chirp of
-    /// samples is supplied.
+    /// samples is supplied, or when `search_range_hz` lies outside
+    /// ±Nyquist or holds no FFT bin.
     pub fn matched_filter(&self, z: &[Complex]) -> Result<FbEstimate, SoftLoraError> {
         with_thread_scratch(|scratch| self.matched_filter_with(z, scratch))
     }
 
     /// [`FbEstimator::matched_filter`] with arena-held intermediates
-    /// (blanked trace, dechirped sequence, padded spectrum) — the
-    /// per-worker steady-state path of the gateway's low-SNR estimator.
+    /// (dechirped sequence, decimated spectrum) — the per-worker
+    /// steady-state path of the gateway's low-SNR estimator.
     ///
     /// # Errors
     ///
@@ -222,13 +262,11 @@ impl FbEstimator {
         z: &[Complex],
         scratch: &mut DspScratch,
     ) -> Result<FbEstimate, SoftLoraError> {
-        let mut blanked = scratch.take_complex_empty();
         let mut d = scratch.take_complex_empty();
-        let mut padded = scratch.take_complex_empty();
-        let result = self.matched_filter_inner(z, scratch, &mut blanked, &mut d, &mut padded);
-        scratch.put_complex(padded);
+        let mut spec = scratch.take_complex_empty();
+        let result = self.matched_filter_inner(z, scratch, &mut d, &mut spec);
+        scratch.put_complex(spec);
         scratch.put_complex(d);
-        scratch.put_complex(blanked);
         result
     }
 
@@ -236,78 +274,71 @@ impl FbEstimator {
         &self,
         z: &[Complex],
         scratch: &mut DspScratch,
-        blanked: &mut Vec<Complex>,
         d: &mut Vec<Complex>,
-        padded: &mut Vec<Complex>,
+        spec: &mut Vec<Complex>,
     ) -> Result<FbEstimate, SoftLoraError> {
+        let decimation = self.decimation()?;
+        self.dechirp_into(z, d)?;
+        let m = d.len();
         // Impulse blanking: clip samples above 4x the trace RMS. At the
         // SNRs where this matters the RMS is noise-dominated, so the chirp
-        // is untouched while interference bursts (the dominant failure mode
-        // under "real" building noise) lose their leverage.
-        let rms = (z.iter().map(|v| v.norm_sqr()).sum::<f64>() / z.len().max(1) as f64).sqrt();
-        let limit = 4.0 * rms;
-        blanked.clear();
-        blanked.extend(z.iter().map(|&v| {
-            let m = v.norm();
-            if m > limit {
-                v.scale(limit / m)
-            } else {
-                v
+        // is untouched while interference bursts (the dominant failure
+        // mode under "real" building noise) lose their leverage. The
+        // reference has unit magnitude, so clipping the dechirped sample
+        // is clipping the input sample.
+        let mean_power = z.iter().map(|v| v.norm_sqr()).sum::<f64>() / z.len() as f64;
+        let limit = 4.0 * mean_power.sqrt();
+        let limit_sqr = limit * limit;
+        for v in d.iter_mut() {
+            let p = v.norm_sqr();
+            if p > limit_sqr {
+                *v = v.scale(limit / p.sqrt());
             }
-        }));
-        self.dechirp_into(blanked, d)?;
-        let n = d.len();
-        let dt = 1.0 / self.sample_rate;
+        }
 
-        // Coarse: zero-padded FFT of the dechirped sequence; the tone sits
-        // at δ. Pad 4x for a bin width well under 1/T.
-        let fft_len = next_pow2(n * 4);
-        padded.clear();
-        padded.extend_from_slice(d);
-        padded.resize(fft_len, Complex::ZERO);
-        scratch.planner().plan(fft_len).forward(padded);
-        let spec: &[Complex] = padded;
+        // Coarse: the tone sits at δ. Boxcar-decimate by D, then zero-pad
+        // 4x for a bin width well under 1/T.
+        let fft_len = next_pow2(m * 4);
+        let len = fft_len / decimation;
+        spec.clear();
+        spec.extend(d.chunks(decimation).map(|block| block.iter().copied().sum::<Complex>()));
+        spec.resize(len, Complex::ZERO);
+        scratch.planner().plan(len).forward(spec);
         let bin_hz = self.sample_rate / fft_len as f64;
+        let signed_bin = |k: usize| if k < len / 2 { k as f64 } else { k as f64 - len as f64 };
         let (lo, hi) = self.search_range_hz;
         // With 4x zero padding the tone energy spreads over ~4 bins;
         // detecting on a 4-bin energy window (instead of a single bin)
         // matches that spread and suppresses low-SNR noise-peak outliers.
         let window_energy =
-            |k: usize| -> f64 { (0..4).map(|j| spec[(k + j) % fft_len].norm_sqr()).sum() };
-        let mut best_bin = 0usize;
-        let mut best_mag = -1.0;
-        for k in 0..fft_len {
-            let f = if k < fft_len / 2 { k as f64 } else { k as f64 - fft_len as f64 } * bin_hz;
+            |k: usize| -> f64 { (0..4).map(|j| spec[(k + j) % len].norm_sqr()).sum() };
+        let mut best: Option<(usize, f64)> = None;
+        for k in 0..len {
+            let f = signed_bin(k) * bin_hz;
             if f >= lo && f <= hi {
-                let m = window_energy(k);
-                if m > best_mag {
-                    best_mag = m;
-                    best_bin = (k + 1) % fft_len; // centre-ish of the window
+                let energy = window_energy(k);
+                if best.is_none_or(|(_, e)| energy > e) {
+                    best = Some(((k + 1) % len, energy)); // centre-ish of the window
                 }
             }
         }
-        let coarse_hz =
-            if best_bin < fft_len / 2 { best_bin as f64 } else { best_bin as f64 - fft_len as f64 }
-                * bin_hz;
+        let (best_bin, _) =
+            best.ok_or(SoftLoraError::Capture { reason: "FB search range holds no FFT bin" })?;
+        let coarse_hz = signed_bin(best_bin) * bin_hz;
 
         // Polish: golden-section on the continuous correlation magnitude,
         // over a window wide enough to cover the 4-bin detection spread.
+        let dt = 1.0 / self.sample_rate;
+        // Negated: golden_section minimises.
         let corr_mag = |delta: f64| -> f64 {
-            let c: Complex = d
-                .iter()
-                .enumerate()
-                .map(|(k, &v)| {
-                    v * Complex::cis(-2.0 * std::f64::consts::PI * delta * k as f64 * dt)
-                })
-                .sum();
-            -c.norm() // golden_section minimises
+            -tone_correlation(d, -2.0 * std::f64::consts::PI * delta * dt).norm()
         };
         let (delta_hz, neg_peak) =
             golden_section(corr_mag, coarse_hz - 3.0 * bin_hz, coarse_hz + 3.0 * bin_hz, 0.5)
                 .map_err(SoftLoraError::Dsp)?;
         let energy: f64 = d.iter().map(|v| v.norm_sqr()).sum();
         let quality = if energy > 0.0 {
-            ((-neg_peak) * (-neg_peak) / (energy * n as f64)).clamp(0.0, 1.0)
+            ((-neg_peak) * (-neg_peak) / (energy * m as f64)).clamp(0.0, 1.0)
         } else {
             0.0
         };
@@ -369,6 +400,22 @@ impl FbEstimator {
         Ok(FbEstimate { delta_hz: fine.x[0], method: FbMethod::DifferentialEvolution, quality })
     }
 
+    /// Where the analysed (second) chirp starts in a capture of `len`
+    /// samples whose onset is at sample `onset`, or `None` when the
+    /// capture does not hold two chirps after the onset.
+    ///
+    /// The onset picker can land a few samples late; a small shortfall at
+    /// the capture tail is tolerated by shifting the analysis window back
+    /// (bounded; the resulting bias is chirp-slope × shift and is
+    /// reflected in the estimate's quality/band handling).
+    pub(crate) fn second_chirp_start(&self, len: usize, onset: usize) -> Option<usize> {
+        const SLACK: usize = 200;
+        let n = self.samples_per_chirp();
+        let start = onset + n;
+        let shortfall = (start + n).saturating_sub(len);
+        (shortfall <= SLACK).then(|| start - shortfall)
+    }
+
     /// Estimates the FB from an SDR capture whose signal onset is at sample
     /// `onset` (from the PHY timestamper), using the *second* captured
     /// chirp as the paper prescribes (§5.1: "the second sampled chirp is
@@ -409,21 +456,10 @@ impl FbEstimator {
         scratch: &mut DspScratch,
     ) -> Result<FbEstimate, SoftLoraError> {
         let n = self.samples_per_chirp();
-        // The onset picker can land a few samples late; tolerate a small
-        // shortfall at the capture tail by shifting the analysis window
-        // back (bounded; the resulting bias is chirp-slope × shift and is
-        // reflected in the estimate's quality/band handling).
-        const SLACK: usize = 200;
-        let mut start = onset + n;
-        if capture.len() < start + n {
-            let shortfall = start + n - capture.len();
-            if shortfall > SLACK {
-                return Err(SoftLoraError::Capture {
-                    reason: "capture does not contain two chirps after the onset",
-                });
-            }
-            start -= shortfall;
-        }
+        let start =
+            self.second_chirp_start(capture.len(), onset).ok_or(SoftLoraError::Capture {
+                reason: "capture does not contain two chirps after the onset",
+            })?;
         match method {
             FbMethod::LinearRegression => {
                 self.linear_regression_with(&capture.i[start..], &capture.q[start..], scratch)
@@ -444,6 +480,45 @@ impl FbEstimator {
             }
         }
     }
+}
+
+/// Upper bound on the matched filter's decimation factor: it keeps a
+/// degenerate, near-zero search range from decimating the two-chirp tone
+/// down to a handful of samples.
+const MAX_DECIMATION: usize = 64;
+
+/// `Σ_k d[k]·e^{jωk}` by phasor recurrence: one `cis` per call and one
+/// complex multiply per sample. Four interleaved lanes, each advanced by
+/// `e^{4jω}`, keep the multiply chains independent; the lanes are held as
+/// separate real and imaginary arrays (the `kernels` chunked-loop layout)
+/// so the per-lane arithmetic vectorizes.
+fn tone_correlation(d: &[Complex], omega: f64) -> Complex {
+    const LANES: usize = 4;
+    let step = Complex::cis(omega);
+    let mut phasor = [Complex::ONE; LANES];
+    for l in 1..LANES {
+        phasor[l] = phasor[l - 1] * step;
+    }
+    let stride = phasor[LANES - 1] * step;
+    let (mut pr, mut pi) = (phasor.map(|p| p.re), phasor.map(|p| p.im));
+    let (mut ar, mut ai) = ([0.0f64; LANES], [0.0f64; LANES]);
+    let mut blocks = d.chunks_exact(LANES);
+    for block in &mut blocks {
+        for l in 0..LANES {
+            let (x, y) = (block[l].re, block[l].im);
+            ar[l] += x * pr[l] - y * pi[l];
+            ai[l] += x * pi[l] + y * pr[l];
+        }
+        for l in 0..LANES {
+            let re = pr[l] * stride.re - pi[l] * stride.im;
+            pi[l] = pr[l] * stride.im + pi[l] * stride.re;
+            pr[l] = re;
+        }
+    }
+    let tail: Complex =
+        blocks.remainder().iter().enumerate().map(|(l, &v)| v * Complex::new(pr[l], pi[l])).sum();
+    let acc: Complex = (0..LANES).map(|l| Complex::new(ar[l], ai[l])).sum();
+    acc + tail
 }
 
 #[cfg(test)]
@@ -623,6 +698,124 @@ mod tests {
         {
             assert!(est.estimate_from_capture(&cap, cap.len(), m, 0.0).is_err(), "{m:?}");
         }
+    }
+
+    /// The matched filter before the coarse search was decimated: a
+    /// 4×-padded full-rate FFT, then a golden-section polish that calls
+    /// `cis` on every sample. The decimated estimator must agree with it.
+    fn oracle_matched_filter(est: &FbEstimator, z: &[Complex]) -> f64 {
+        let rms = (z.iter().map(|v| v.norm_sqr()).sum::<f64>() / z.len() as f64).sqrt();
+        let limit = 4.0 * rms;
+        let n = est.samples_per_chirp();
+        let reference = est.dechirp_reference().unwrap();
+        let d: Vec<Complex> = z
+            .iter()
+            .take(2 * n)
+            .enumerate()
+            .map(|(k, &v)| {
+                let m = v.norm();
+                let v = if m > limit { v.scale(limit / m) } else { v };
+                v * reference[k % n]
+            })
+            .collect();
+        let fft_len = next_pow2(d.len() * 4);
+        let mut spec = d.clone();
+        spec.resize(fft_len, Complex::ZERO);
+        softlora_dsp::fft::FftPlanner::new().plan(fft_len).forward(&mut spec);
+        let bin_hz = est.sample_rate / fft_len as f64;
+        let signed = |k: usize| if k < fft_len / 2 { k as f64 } else { k as f64 - fft_len as f64 };
+        let (lo, hi) = est.search_range_hz;
+        let window_energy =
+            |k: usize| -> f64 { (0..4).map(|j| spec[(k + j) % fft_len].norm_sqr()).sum() };
+        let mut best_bin = 0usize;
+        let mut best_mag = -1.0;
+        for k in 0..fft_len {
+            let f = signed(k) * bin_hz;
+            if f >= lo && f <= hi && window_energy(k) > best_mag {
+                best_mag = window_energy(k);
+                best_bin = (k + 1) % fft_len;
+            }
+        }
+        let coarse_hz = signed(best_bin) * bin_hz;
+        let dt = 1.0 / est.sample_rate;
+        let corr_mag = |delta: f64| -> f64 {
+            let c: Complex = d
+                .iter()
+                .enumerate()
+                .map(|(k, &v)| {
+                    v * Complex::cis(-2.0 * std::f64::consts::PI * delta * k as f64 * dt)
+                })
+                .sum();
+            -c.norm()
+        };
+        golden_section(corr_mag, coarse_hz - 3.0 * bin_hz, coarse_hz + 3.0 * bin_hz, 0.5).unwrap().0
+    }
+
+    /// `cap` at `snr_db` (Gaussian noise, fixed seed) as one complex
+    /// trace starting at the first chirp.
+    fn noisy_from_onset(
+        cap: &softlora_phy::sdr::IqCapture,
+        snr_db: f64,
+        seed: u64,
+    ) -> Vec<Complex> {
+        let mut z = cap.to_complex();
+        add_noise_at_snr(&mut z, &mut GaussianNoise::new(1.0, seed), snr_db);
+        z.split_off(cap.true_onset)
+    }
+
+    #[test]
+    fn decimated_search_agrees_with_full_rate_oracle() {
+        let mut seed = 200;
+        for delta in [0.0, 10_000.0, -10_000.0, 33_900.0, -33_900.0] {
+            for snr_db in [10.0, 0.0, -10.0, -20.0] {
+                seed += 1;
+                let cap = clean_capture(delta, 0.0, 0.7, seed);
+                let est = FbEstimator::new(&cfg(), cap.sample_rate);
+                let z = noisy_from_onset(&cap, snr_db, 1000 + seed);
+                let fast = est.matched_filter(&z).unwrap().delta_hz;
+                let oracle = oracle_matched_filter(&est, &z);
+                assert!(
+                    (fast - oracle).abs() < 1.0,
+                    "δ {delta} Hz at {snr_db} dB: decimated {fast} vs oracle {oracle}"
+                );
+                assert!((fast - delta).abs() < 150.0, "δ {delta} Hz at {snr_db} dB: {fast}");
+            }
+        }
+    }
+
+    #[test]
+    fn decimation_follows_the_search_band() {
+        assert_eq!(FbEstimator::new(&cfg(), 2.4e6).decimation().unwrap(), 8);
+        // A fixed D = 8 (decimated Nyquist 150 kHz) would droop the
+        // +90 kHz tone and fold the +250 kHz one onto −50 kHz.
+        for (edge, delta, want_d) in [(100_000.0, 90_000.0, 2), (300_000.0, 250_000.0, 1)] {
+            let cap = clean_capture(delta, 0.0, 1.1, 12);
+            let mut est = FbEstimator::new(&cfg(), cap.sample_rate);
+            est.search_range_hz = (-edge, edge);
+            assert_eq!(est.decimation().unwrap(), want_d, "±{edge} Hz");
+            let z = noisy_from_onset(&cap, 0.0, 13);
+            let fb = est.matched_filter(&z).unwrap().delta_hz;
+            assert!((fb - delta).abs() < 150.0, "δ {delta} Hz: fb {fb}");
+            assert!((fb - oracle_matched_filter(&est, &z)).abs() < 1.0, "δ {delta} Hz: fb {fb}");
+        }
+    }
+
+    #[test]
+    fn search_range_without_a_bin_is_an_error() {
+        let cap = clean_capture(-20_000.0, 0.0, 0.2, 14);
+        let z = noisy_from_onset(&cap, 10.0, 15);
+        let mut est = FbEstimator::new(&cfg(), cap.sample_rate);
+        // Between two bins of the ≈73 Hz grid.
+        est.search_range_hz = (10.0, 20.0);
+        assert!(matches!(est.matched_filter(&z), Err(SoftLoraError::Capture { .. })));
+        // Empty range.
+        est.search_range_hz = (5_000.0, -5_000.0);
+        assert!(matches!(est.matched_filter(&z), Err(SoftLoraError::Capture { .. })));
+        // Past ±Nyquist of the 2.4 MHz capture.
+        est.search_range_hz = (-1.3e6, 0.0);
+        assert!(matches!(est.matched_filter(&z), Err(SoftLoraError::Capture { .. })));
+        est.search_range_hz = (f64::NAN, 0.0);
+        assert!(matches!(est.matched_filter(&z), Err(SoftLoraError::Capture { .. })));
     }
 
     #[test]

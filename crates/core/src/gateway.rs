@@ -218,8 +218,8 @@ impl SoftLoraGateway {
             deliveries.iter().enumerate().map(|(k, d)| (start + k as u64, d)).collect();
         let pipeline = &self.pipeline;
         // One scratch arena per worker *thread*, persistent across batches:
-        // pooled buffers and FFT twiddle tables (32k-point tables for the
-        // matched filter are the expensive part) are built once per rayon
+        // pooled buffers and FFT twiddle tables (the matched filter's and
+        // the onset picker's are the expensive part) are built once per rayon
         // thread, not once per `process_batch` call, so the parallel front
         // half is allocation-free in steady state even for small batches.
         let fronts: Vec<Result<FrontFrame, SoftLoraError>> = indexed

@@ -1379,8 +1379,8 @@ impl NetworkServer {
 
         // The embarrassingly parallel front half — one scratch arena per
         // worker *thread*, persistent across batches, so pooled buffers
-        // and cached FFT plans (including the 32k-point matched-filter
-        // twiddle tables) survive from one `process_batch` to the next.
+        // and cached FFT plans (including the matched filter's twiddle
+        // tables) survive from one `process_batch` to the next.
         let fronts = &self.fronts;
         let analysed: Vec<Result<FrontFrame, SoftLoraError>> = jobs
             .par_iter()

@@ -479,16 +479,21 @@ pub type StageTiming = (Stage, f64);
 #[derive(Debug, Clone)]
 pub struct StageMetrics {
     histograms: [softlora_telemetry::Histogram; Stage::ALL.len()],
+    /// Copies the radio heard whose capture could not be analysed
+    /// (`gateway_unanalysed_copies_total`).
+    unanalysed: softlora_telemetry::Counter,
 }
 
 impl StageMetrics {
-    /// Resolves the six per-stage histogram handles.
+    /// Resolves the six per-stage histogram handles and the
+    /// unanalysed-copy counter.
     pub fn new() -> Self {
         let registry = softlora_telemetry::global();
         StageMetrics {
             histograms: Stage::ALL.map(|stage| {
                 registry.histogram_with("gateway_stage_ns", &[("stage", stage.name())])
             }),
+            unanalysed: registry.counter("gateway_unanalysed_copies_total"),
         }
     }
 
@@ -644,7 +649,10 @@ impl Pipeline {
     ///
     /// Returns [`SoftLoraError`] only for infrastructure failures (capture
     /// synthesis or analysis windows); radio-level drops are data, not
-    /// errors.
+    /// errors. So is a copy whose capture holds fewer than two chirps
+    /// after its onset: it comes back as [`FrontFrame::NotReceived`] with
+    /// [`ReceptionOutcome::NoSignal`] and counts in
+    /// `gateway_unanalysed_copies_total`.
     pub fn front_half(
         &self,
         delivery: &Delivery,
@@ -702,6 +710,17 @@ impl Pipeline {
         let elapsed = t.elapsed().as_secs_f64();
         timings.push(Stage::Onset, elapsed);
         self.stage_metrics.record(Stage::Onset, elapsed);
+
+        // A copy at the demodulation floor can have its onset picked so
+        // late that two chirps no longer follow it. That is data, not an
+        // infrastructure failure: the copy is unanalysed, so it drops out
+        // of its group's evidence like a copy the radio never heard.
+        let onset_sample = onset.timestamp.onset_sample;
+        if self.fb.estimator().second_chirp_start(captured.capture.len(), onset_sample).is_none() {
+            captured.recycle(scratch);
+            self.stage_metrics.unanalysed.inc();
+            return Ok(FrontFrame::NotReceived { outcome: ReceptionOutcome::NoSignal, timings });
+        }
 
         let t = Instant::now();
         let fb = self.fb.estimate_with(&captured.capture, &onset, delivery.snr_db, scratch);
