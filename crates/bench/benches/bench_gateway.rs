@@ -12,9 +12,15 @@
 //! 3. what batching buys — `sequential_16` versus `batch_16` runs the
 //!    same 16-delivery stream through a `process` loop and through
 //!    `process_batch`'s parallel front half.
+//!
+//! `capture_synth_sf7` times the simulator's share of the front half on
+//! its own: one quantised SF7 capture (three chirps plus lead, ≈ 8k
+//! samples, with Gaussian noise) synthesised on a warm scratch arena.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use softlora::SoftLoraGateway;
+use softlora::pipeline::CaptureSynth;
+use softlora::{SoftLoraConfig, SoftLoraGateway};
+use softlora_dsp::DspScratch;
 use softlora_lorawan::{ClassADevice, DeviceConfig};
 use softlora_phy::{PhyConfig, SpreadingFactor};
 use softlora_sim::Delivery;
@@ -84,6 +90,19 @@ fn bench_pipeline(c: &mut Criterion) {
                 .pick(black_box(&capture.capture), d.arrival_global_s)
                 .expect("redundant pick");
             (front, again)
+        })
+    });
+
+    // The simulator stage alone, with ADC quantisation on (the default).
+    let config = SoftLoraConfig::new(pipeline.config().phy);
+    let synth = CaptureSynth::new(&config, 3);
+    let mut scratch = DspScratch::new();
+    group.bench_function("capture_synth_sf7", |b| {
+        b.iter(|| {
+            let out = synth
+                .synthesise_with(&config, black_box(&d), 1_000, &mut scratch)
+                .expect("capture");
+            out.recycle(&mut scratch);
         })
     });
     group.finish();

@@ -179,27 +179,6 @@ impl ChirpGenerator {
         theta: f64,
         amp: f64,
     ) -> Vec<Complex> {
-        let mut out = Vec::with_capacity(self.samples_per_chirp);
-        self.chirp_into(direction, symbol, delta_hz, theta, amp, &mut out);
-        out
-    }
-
-    /// [`ChirpGenerator::chirp`] appended to a caller-owned buffer —
-    /// capture synthesis reuses one buffer for a whole multi-chirp
-    /// preamble instead of allocating per chirp.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `symbol >= 2^SF`.
-    pub fn chirp_into(
-        &self,
-        direction: ChirpDirection,
-        symbol: usize,
-        delta_hz: f64,
-        theta: f64,
-        amp: f64,
-        out: &mut Vec<Complex>,
-    ) {
         let chips = self.sf.chips();
         assert!(symbol < chips, "symbol {symbol} out of range for {}", self.sf);
         let w = self.bandwidth_hz;
@@ -225,17 +204,18 @@ impl ChirpGenerator {
         };
 
         let dt = 1.0 / self.sample_rate;
-        out.reserve(self.samples_per_chirp);
-        out.extend((0..self.samples_per_chirp).map(|n| {
-            let t = n as f64 * dt;
-            let core_phase = if t < t_wrap || t_wrap >= t_total {
-                two_pi * (f0 * t + slope * t * t / 2.0)
-            } else {
-                let u = t - t_wrap;
-                phase_at_wrap + two_pi * (f_restart * u + slope * u * u / 2.0)
-            };
-            Complex::from_polar(amp, core_phase + two_pi * delta_hz * t + theta)
-        }));
+        (0..self.samples_per_chirp)
+            .map(|n| {
+                let t = n as f64 * dt;
+                let core_phase = if t < t_wrap || t_wrap >= t_total {
+                    two_pi * (f0 * t + slope * t * t / 2.0)
+                } else {
+                    let u = t - t_wrap;
+                    phase_at_wrap + two_pi * (f_restart * u + slope * u * u / 2.0)
+                };
+                Complex::from_polar(amp, core_phase + two_pi * delta_hz * t + theta)
+            })
+            .collect()
     }
 
     /// Conjugate base up-chirp used as the dechirp reference.

@@ -7,10 +7,147 @@
 //! (low-frequency-weighted) background plus sporadic wideband impulse bursts
 //! from other ISM-band users, with a small DC offset ripple typical of
 //! RTL-SDR front-ends.
+//!
+//! Both sources draw their Gaussian variates from one sampler: the cosine
+//! branch of Box–Muller, `√(−2 ln u₁)·cos(2πu₂)`, two uniforms per
+//! variate. The platform `ln` and `cos` behind it cost most of a
+//! capture's synthesis, so both are evaluated inline:
+//!
+//! * `ln` as in fdlibm: reduce to `m` in `[√2/2, √2)`, then a degree-7
+//!   polynomial in `s²` with `s = (m−1)/(m+1)`; error below 1 ulp.
+//! * `cos 2πu` from a 128-entry table of `cos`/`sin` at multiples of
+//!   `2π/128`, rotated by short Taylor polynomials over the remaining
+//!   `|t| ≤ π/128`; error about 1 ulp.
+//!
+//! Each draw is the textbook formula's to within 1e-14, with the same
+//! uniforms in the same order, so a seed's noise realisation is
+//! unchanged. [`GaussianNoise`] draws its uniforms 64 variates at a time
+//! into a stack buffer and evaluates them in one branch-free pass.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use softlora_dsp::Complex;
+use std::f64::consts::PI;
+use std::sync::OnceLock;
+
+/// Variates per batch in [`fill_standard_normal`].
+const BATCH: usize = 64;
+/// Entries of the `cos`/`sin` table: one per `2π/128` of phase.
+const TURN_STEPS: usize = 128;
+/// `2⁵²`: the float whose low mantissa bits hold an added small integer.
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+/// `1.5·2⁵²`: adding it rounds a float below 2⁵¹ to an integer held in
+/// the low mantissa bits.
+const ROUND_BIAS: f64 = 1.5 * TWO_POW_52;
+/// `ln 2` split so that `k·LN2_HI` is exact for small integers `k`
+/// (fdlibm's bit patterns, as are the coefficients below).
+const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
+const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
+/// fdlibm's minimax coefficients for `ln((1+s)/(1−s))`: `2s + Σ Lgᵢ·s²ⁱ⁺¹`.
+const LG: [f64; 7] = [
+    f64::from_bits(0x3fe5_5555_5555_5593),
+    f64::from_bits(0x3fd9_9999_9997_fa04),
+    f64::from_bits(0x3fd2_4924_9422_9359),
+    f64::from_bits(0x3fcc_71c5_1d8e_78af),
+    f64::from_bits(0x3fc7_4664_96cb_03de),
+    f64::from_bits(0x3fc3_9a09_d078_c69f),
+    f64::from_bits(0x3fc2_f112_df3e_5244),
+];
+
+/// `ln x` for a normal positive `x`, after fdlibm's `e_log.c`.
+#[inline(always)]
+fn ln_normal(x: f64) -> f64 {
+    let bits = x.to_bits();
+    // Split x = 2^k·m with m in [√2/2, √2) by shifting the high word.
+    let high = (bits >> 32) + (0x3ff0_0000 - 0x3fe6_a09e);
+    // k + 1023 is the exponent field of `high`; build k as a float exactly.
+    let k = f64::from_bits(0x4330_0000_0000_0000 | (high >> 20)) - (TWO_POW_52 + 1023.0);
+    let m_high = (high & 0x000f_ffff) + 0x3fe6_a09e;
+    let f = f64::from_bits((m_high << 32) | (bits & 0xffff_ffff)) - 1.0;
+    let half_f2 = 0.5 * f * f;
+    let s = f / (2.0 + f);
+    let z = s * s;
+    let w = z * z;
+    let even = w * (LG[1] + w * (LG[3] + w * LG[5]));
+    let odd = z * (LG[0] + w * (LG[2] + w * (LG[4] + w * LG[6])));
+    s * (half_f2 + odd + even) + k * LN2_LO - half_f2 + f + k * LN2_HI
+}
+
+/// `cos` and `sin` at the multiples of `2π/128`.
+struct TurnTable {
+    cos: [f64; TURN_STEPS],
+    sin: [f64; TURN_STEPS],
+}
+
+impl TurnTable {
+    fn get() -> &'static TurnTable {
+        static TABLE: OnceLock<TurnTable> = OnceLock::new();
+        TABLE.get_or_init(|| {
+            // (cos, sin) of 2πj/128 as a quarter turn plus |x| ≤ π/4, so
+            // no entry carries the rounding of a large angle.
+            let turn = |j: usize| {
+                let quarter = (j + TURN_STEPS / 8) / (TURN_STEPS / 4);
+                let x = 2.0 * PI * (j as f64 / TURN_STEPS as f64 - quarter as f64 / 4.0);
+                let (s, c) = x.sin_cos();
+                match quarter % 4 {
+                    0 => (c, s),
+                    1 => (-s, c),
+                    2 => (-c, -s),
+                    _ => (s, -c),
+                }
+            };
+            TurnTable {
+                cos: std::array::from_fn(|j| turn(j).0),
+                sin: std::array::from_fn(|j| turn(j).1),
+            }
+        })
+    }
+
+    /// `cos 2πu` for `u` in `[0, 1)`.
+    #[inline(always)]
+    fn cos_turns(&self, u: f64) -> f64 {
+        // u·128 = j + r with j the nearest integer (mod 128) and
+        // |r| ≤ 1/2; both steps are exact.
+        let scaled = u * TURN_STEPS as f64;
+        let rounded = scaled + ROUND_BIAS;
+        let j = (rounded.to_bits() as usize) & (TURN_STEPS - 1);
+        let t = (scaled - (rounded - ROUND_BIAS)) * (2.0 * PI / TURN_STEPS as f64);
+        // |t| ≤ π/128: the first Taylor terms left out, t⁸/8! and t⁹/9!,
+        // are below 4e-18.
+        let t2 = t * t;
+        let one_minus_cos = t2 * (0.5 + t2 * (-1.0 / 24.0 + t2 * (1.0 / 720.0)));
+        let sin = t * (1.0 + t2 * (-1.0 / 6.0 + t2 * (1.0 / 120.0 + t2 * (-1.0 / 5040.0))));
+        self.cos[j] - (self.cos[j] * one_minus_cos + self.sin[j] * sin)
+    }
+
+    /// One Box–Muller variate from its two uniforms.
+    #[inline(always)]
+    fn box_muller(&self, u1: f64, u2: f64) -> f64 {
+        (-2.0 * ln_normal(u1.max(1e-12))).sqrt() * self.cos_turns(u2)
+    }
+}
+
+/// Fills `out` with standard-normal variates, drawing two uniforms per
+/// variate in order (module docs).
+fn fill_standard_normal(rng: &mut StdRng, out: &mut [f64]) {
+    let table = TurnTable::get();
+    let mut uniforms = [0.0; 2 * BATCH];
+    for batch in out.chunks_mut(BATCH) {
+        let uniforms = &mut uniforms[..2 * batch.len()];
+        uniforms.iter_mut().for_each(|u| *u = rng.random());
+        for (g, pair) in batch.iter_mut().zip(uniforms.chunks_exact(2)) {
+            *g = table.box_muller(pair[0], pair[1]);
+        }
+    }
+}
+
+/// One standard-normal variate: the same draws and arithmetic as
+/// [`fill_standard_normal`].
+fn standard_normal(rng: &mut StdRng) -> f64 {
+    let u1 = rng.random();
+    let u2 = rng.random();
+    TurnTable::get().box_muller(u1, u2)
+}
 
 /// Source of complex baseband noise samples.
 pub trait NoiseSource {
@@ -51,33 +188,24 @@ impl GaussianNoise {
     pub fn with_power(power: f64, seed: u64) -> Self {
         Self::new((power / 2.0).max(0.0).sqrt(), seed)
     }
-
-    fn gaussian(rng: &mut StdRng) -> f64 {
-        let u1: f64 = rng.random::<f64>().max(1e-12);
-        let u2: f64 = rng.random();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
 }
 
 impl NoiseSource for GaussianNoise {
     fn generate(&mut self, n: usize) -> Vec<Complex> {
-        (0..n)
-            .map(|_| {
-                Complex::new(
-                    self.sigma * Self::gaussian(&mut self.rng),
-                    self.sigma * Self::gaussian(&mut self.rng),
-                )
-            })
-            .collect()
+        let mut out = vec![Complex::ZERO; n];
+        self.add_to(&mut out);
+        out
     }
 
     fn add_to(&mut self, z: &mut [Complex]) {
-        // Same draw order as `generate`, added in place.
-        for s in z.iter_mut() {
-            *s += Complex::new(
-                self.sigma * Self::gaussian(&mut self.rng),
-                self.sigma * Self::gaussian(&mut self.rng),
-            );
+        // Each sample takes its I draw, then its Q draw.
+        let mut g = [0.0; BATCH];
+        for block in z.chunks_mut(BATCH / 2) {
+            let g = &mut g[..2 * block.len()];
+            fill_standard_normal(&mut self.rng, g);
+            for (s, iq) in block.iter_mut().zip(g.chunks_exact(2)) {
+                *s += Complex::new(self.sigma * iq[0], self.sigma * iq[1]);
+            }
         }
     }
 
@@ -140,9 +268,7 @@ impl RealNoiseEmulator {
     }
 
     fn gaussian(&mut self) -> f64 {
-        let u1: f64 = self.rng.random::<f64>().max(1e-12);
-        let u2: f64 = self.rng.random();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        standard_normal(&mut self.rng)
     }
 }
 
@@ -291,6 +417,128 @@ mod tests {
         let mut empty: Vec<Complex> = Vec::new();
         let mut src = GaussianNoise::new(1.0, 7);
         assert_eq!(add_noise_at_snr(&mut empty, &mut src, 0.0), 0.0);
+    }
+
+    /// Standard normal CDF, via the Abramowitz & Stegun 7.1.26 `erf`
+    /// (absolute error below 1.5e-7).
+    fn phi(x: f64) -> f64 {
+        let z = x.abs() / std::f64::consts::SQRT_2;
+        let t = 1.0 / (1.0 + 0.327_591_1 * z);
+        let poly = t
+            * (0.254_829_592
+                + t * (-0.284_496_736
+                    + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
+        let erf = 1.0 - poly * (-z * z).exp();
+        if x >= 0.0 {
+            0.5 * (1.0 + erf)
+        } else {
+            0.5 * (1.0 - erf)
+        }
+    }
+
+    /// The textbook Box–Muller draw through the platform `ln` and `cos`.
+    fn oracle_box_muller(rng: &mut StdRng) -> f64 {
+        let u1: f64 = rng.random::<f64>().max(1e-12);
+        let u2: f64 = rng.random();
+        (-2.0 * u1.ln()).sqrt() * (2.0 * PI * u2).cos()
+    }
+
+    #[test]
+    fn sampler_matches_the_platform_formula() {
+        const N: usize = 1_000_000;
+        let mut oracle = StdRng::seed_from_u64(12);
+        let mut batched = oracle.clone();
+        let mut scalar = oracle.clone();
+        let mut xs = vec![0.0; N];
+        fill_standard_normal(&mut batched, &mut xs);
+        let mut worst = 0.0f64;
+        for &x in &xs {
+            let want = oracle_box_muller(&mut oracle);
+            assert_eq!(standard_normal(&mut scalar), x);
+            worst = worst.max((x - want).abs());
+        }
+        assert!(worst < 1e-14, "largest deviation {worst}");
+        // Both paths consumed exactly the oracle's uniforms.
+        let next = oracle.random::<u64>();
+        assert_eq!(batched.random::<u64>(), next);
+        assert_eq!(scalar.random::<u64>(), next);
+        // The smallest uniform the sampler admits, and the table's wrap.
+        let table = TurnTable::get();
+        let edge = (-2.0 * 1e-12f64.ln()).sqrt();
+        assert!((table.box_muller(0.0, 0.0) - edge).abs() < 1e-14);
+        assert!((table.cos_turns(1.0 - f64::EPSILON) - 1.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn ln_and_cos_match_the_platform() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut worst_ln = 0.0f64;
+        let mut worst_cos = 0.0f64;
+        let table = TurnTable::get();
+        for k in 0..1_000_000u64 {
+            let x = rng.random::<f64>().max(1e-12);
+            worst_ln = worst_ln.max((ln_normal(x) - x.ln()).abs() / x.ln().abs().max(1e-300));
+            // cos 2πu reduced exactly to |2πr| ≤ π/4 before the platform
+            // call, so the reference carries no large-argument rounding.
+            let u = if k % 2 == 0 { rng.random::<f64>() } else { k as f64 / 1_000_000.0 };
+            let quarter = (u * 4.0).round();
+            let x = 2.0 * PI * (u - quarter / 4.0);
+            let want = match quarter as u8 % 4 {
+                0 => x.cos(),
+                1 => -x.sin(),
+                2 => -x.cos(),
+                _ => x.sin(),
+            };
+            worst_cos = worst_cos.max((table.cos_turns(u) - want).abs());
+        }
+        assert!(worst_ln <= 2.0 * f64::EPSILON, "ln: largest relative deviation {worst_ln}");
+        assert!(worst_cos < 4e-16, "cos: largest deviation {worst_cos}");
+    }
+
+    #[test]
+    fn add_to_draws_what_generate_draws() {
+        let mut z = vec![Complex::new(0.5, -0.25); 77];
+        GaussianNoise::new(0.3, 9).add_to(&mut z);
+        let noise = GaussianNoise::new(0.3, 9).generate(77);
+        for (s, n) in z.iter().zip(&noise) {
+            assert_eq!(*s, Complex::new(0.5, -0.25) + *n);
+        }
+    }
+
+    #[test]
+    fn draws_are_standard_normal() {
+        const N: usize = 1_000_000;
+        /// A far-tail probe: 2·(1 − Φ(R)) ≈ 5.8·10⁻⁴.
+        const R: f64 = 3.442_619_855_899;
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut xs = vec![0.0; N];
+        fill_standard_normal(&mut rng, &mut xs);
+        let n = N as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+        let kurt = xs.iter().map(|x| (x - mean).powi(4)).sum::<f64>() / n / (var * var);
+        assert!(mean.abs() < 5e-3, "mean {mean}");
+        assert!((var - 1.0).abs() < 7e-3, "variance {var}");
+        assert!((kurt - 3.0).abs() < 0.03, "kurtosis {kurt}");
+
+        let tail = xs.iter().filter(|x| x.abs() > R).count() as f64;
+        let expected = 2.0 * (1.0 - phi(R)) * n;
+        assert!((expected - 5.8e-4 * n).abs() < 0.01 * expected, "expected tail count {expected}");
+        assert!(
+            (tail - expected).abs() < 4.0 * expected.sqrt(),
+            "tail draws {tail}, expected {expected}"
+        );
+
+        xs.sort_by(f64::total_cmp);
+        let ks = xs
+            .iter()
+            .enumerate()
+            .map(|(k, &x)| {
+                let cdf = phi(x);
+                (cdf - k as f64 / n).abs().max((k as f64 + 1.0) / n - cdf)
+            })
+            .fold(0.0, f64::max);
+        assert!(ks < 2e-3, "KS distance {ks}");
     }
 
     #[test]

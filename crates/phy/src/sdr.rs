@@ -8,8 +8,18 @@
 //! `exp(−j(2π·δRx·t + θRx))`, so the captured trace has net bias
 //! `δ = δTx − δRx` and net phase `θ = θTx − θRx` — exactly the paper's
 //! Eq. (5).
+//!
+//! Capture synthesis never evaluates the chirp's angle per sample. It
+//! starts from the cached symbol-0 up-chirp
+//! ([`crate::chirp::cached_chirp_refs`], shared with every receiver at
+//! the same SF, bandwidth and sample rate) and multiplies it by the
+//! bias phasor `amp·e^{j(2πδt + θ)}`. The phasor advances by one complex
+//! multiply per sample and is re-anchored with an exact `from_polar` at
+//! each chirp start and every 512 samples, so it stays within ~1e-12 of
+//! the single-angle evaluation — far below the 8-bit ADC step of 1/64.
+//! The ADC then quantises the whole buffer in one pass.
 
-use crate::chirp::{ChirpDirection, ChirpGenerator};
+use crate::chirp::cached_chirp_refs;
 use crate::oscillator::Oscillator;
 use crate::params::PhyConfig;
 use crate::PhyError;
@@ -18,6 +28,10 @@ use softlora_dsp::Complex;
 /// The RTL-SDR's nominal sample rate (paper §5.1: "it can operate at
 /// 2.4 Msps reliably for extended time periods").
 pub const RTL_SDR_SAMPLE_RATE: f64 = 2.4e6;
+
+/// Samples between exact re-anchors of the bias phasor in capture
+/// synthesis; the recurrence drifts by ~1e-16 per step in between.
+const PHASOR_ANCHOR: usize = 512;
 
 /// An I/Q capture produced by the SDR receiver.
 #[derive(Debug, Clone)]
@@ -229,22 +243,34 @@ impl SdrReceiver {
         theta_rx: f64,
         z: &mut Vec<Complex>,
     ) -> Result<(), PhyError> {
-        let generator = ChirpGenerator::new(cfg.sf, cfg.channel.bandwidth.hz(), self.sample_rate)?;
+        let chirp_time = cfg.chirp_time();
+        let refs = cached_chirp_refs(cfg.sf, cfg.channel.bandwidth.hz(), self.sample_rate)?;
         let delta_rx = self.oscillator.frequency_bias_hz();
         // Net bias and phase, per the paper's Eq. (5).
         let delta = delta_tx - delta_rx;
         let theta = theta_tx - theta_rx;
 
+        let two_pi = 2.0 * std::f64::consts::PI;
+        let dt = 1.0 / self.sample_rate;
+        let step = Complex::cis(two_pi * delta * dt);
         z.clear();
+        z.reserve(lead + n_chirps * refs.upchirp.len());
         z.resize(lead, Complex::ZERO);
         for k in 0..n_chirps {
             // Keep the bias phase continuous across chirps: the k-th chirp
             // starts at t = k·T, contributing 2π·δ·kT of accumulated phase.
-            let t_start = k as f64 * generator.chirp_time();
-            let phase_offset = 2.0 * std::f64::consts::PI * delta * t_start + theta;
-            generator.chirp_into(ChirpDirection::Up, 0, delta, phase_offset, amp, z);
+            let phase_offset = two_pi * delta * (k as f64 * chirp_time) + theta;
+            for (block, chunk) in refs.upchirp.chunks(PHASOR_ANCHOR).enumerate() {
+                let t = (block * PHASOR_ANCHOR) as f64 * dt;
+                let mut bias = Complex::from_polar(amp, two_pi * delta * t + phase_offset);
+                z.extend(chunk.iter().map(|&c| {
+                    let s = c * bias;
+                    bias *= step;
+                    s
+                }));
+            }
         }
-        for s in z.iter_mut() {
+        for s in &mut z[lead..] {
             *s = self.quantise(*s);
         }
         Ok(())
@@ -256,9 +282,12 @@ impl SdrReceiver {
             Some(bits) => {
                 let levels = (1u64 << bits) as f64;
                 let step = 2.0 * self.adc_full_scale / levels;
+                // The step is a power of two (full scale 2, 2^bits levels),
+                // so scaling by its reciprocal is the exact division.
+                let per_step = levels / (2.0 * self.adc_full_scale);
                 let q = |x: f64| -> f64 {
                     let clipped = x.clamp(-self.adc_full_scale, self.adc_full_scale - step);
-                    (clipped / step).round() * step
+                    (clipped * per_step).round() * step
                 };
                 Complex::new(q(z.re), q(z.im))
             }
@@ -269,11 +298,90 @@ impl SdrReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chirp::{ChirpDirection, ChirpGenerator};
     use crate::params::{PhyConfig, SpreadingFactor};
     use softlora_dsp::unwrap::unwrap_iq;
 
     fn receiver(bias_ppm: f64) -> SdrReceiver {
         SdrReceiver::new(Oscillator::with_bias_ppm(bias_ppm, 869.75e6, 1).with_jitter_hz(0.0))
+    }
+
+    /// The per-sample synthesis the table path replaced: one `from_polar`
+    /// of the full angle per sample, then quantisation by division.
+    #[allow(clippy::too_many_arguments)]
+    fn oracle_capture(
+        rx: &SdrReceiver,
+        cfg: &PhyConfig,
+        n_chirps: usize,
+        delta_tx: f64,
+        theta_tx: f64,
+        amp: f64,
+        lead: usize,
+        theta_rx: f64,
+    ) -> Vec<Complex> {
+        let generator = ChirpGenerator::new(cfg.sf, cfg.channel.bandwidth.hz(), rx.sample_rate)
+            .expect("valid generator");
+        let delta = delta_tx - rx.oscillator.frequency_bias_hz();
+        let theta = theta_tx - theta_rx;
+        let mut z = vec![Complex::ZERO; lead];
+        for k in 0..n_chirps {
+            let t_start = k as f64 * generator.chirp_time();
+            let phase_offset = 2.0 * std::f64::consts::PI * delta * t_start + theta;
+            z.extend(generator.chirp(ChirpDirection::Up, 0, delta, phase_offset, amp));
+        }
+        let quantise = |x: f64| match rx.adc_bits {
+            None => x,
+            Some(bits) => {
+                let step = 2.0 * rx.adc_full_scale / (1u64 << bits) as f64;
+                (x.clamp(-rx.adc_full_scale, rx.adc_full_scale - step) / step).round() * step
+            }
+        };
+        z.into_iter().map(|s| Complex::new(quantise(s.re), quantise(s.im))).collect()
+    }
+
+    #[test]
+    fn table_synthesis_matches_the_per_sample_oracle() {
+        let mut z = Vec::new();
+        for sf in [SpreadingFactor::Sf7, SpreadingFactor::Sf9] {
+            let cfg = PhyConfig::uplink(sf);
+            for delta in [0.0, 22e3, -22e3, 61e3, -61e3] {
+                for (theta_tx, theta_rx) in [(0.0, 0.0), (0.7, 2.9), (-2.5, 5.1)] {
+                    for amp in [1.0, 0.3] {
+                        for n_chirps in [1, 3] {
+                            for rx in [
+                                receiver(0.0),
+                                receiver(0.0).with_adc_bits(12),
+                                receiver(0.0).without_quantisation(),
+                            ] {
+                                let case = format!(
+                                    "{sf:?} δ={delta} θ={theta_tx}/{theta_rx} amp={amp} \
+                                     n={n_chirps} adc={:?}",
+                                    rx.adc_bits
+                                );
+                                let want = oracle_capture(
+                                    &rx, &cfg, n_chirps, delta, theta_tx, amp, 37, theta_rx,
+                                );
+                                rx.capture_chirps_with_phase_into(
+                                    &cfg, n_chirps, delta, theta_tx, amp, 37, theta_rx, &mut z,
+                                )
+                                .unwrap();
+                                if rx.adc_bits.is_some() {
+                                    assert_eq!(z, want, "{case}");
+                                } else {
+                                    assert_eq!(z.len(), want.len(), "{case}");
+                                    let err = z
+                                        .iter()
+                                        .zip(&want)
+                                        .map(|(a, b)| (*a - *b).norm())
+                                        .fold(0.0, f64::max);
+                                    assert!(err < 1e-9, "{case}: error {err}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

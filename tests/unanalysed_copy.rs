@@ -11,15 +11,32 @@ use softlora_repro::phy::{PhyConfig, SpreadingFactor};
 use softlora_repro::runtime::{FlowgraphBuilder, Scheduler};
 use softlora_repro::sim::{Delivery, FleetDelivery, FrameSource, UplinkDeliveries};
 use softlora_repro::softlora::network_server::ServerObserver;
+use softlora_repro::softlora::pipeline::FrontFrame;
 use softlora_repro::softlora::{NetworkServer, ServerVerdict, SoftLoraGateway, SoftLoraVerdict};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 const DEV_ADDR: u32 = 0x2601_0001;
-/// A gateway seed whose first capture of the copy below lands its onset
-/// too late for two chirps (the other seeds of this test are ordinary).
-const FLOOR_SEED: u64 = 22;
 /// Inside the −7.4 … −5.8 dB band where such copies occur.
 const FLOOR_SNR_DB: f64 = -6.6;
+/// The first gateway seed in `0..512` whose first capture of the floor
+/// copy lands its onset too late for two chirps (the other seeds of this
+/// test are ordinary). Which seeds do depends on the simulated noise, so
+/// it is found by a deterministic scan rather than fixed.
+fn floor_seed() -> u64 {
+    static SEED: OnceLock<u64> = OnceLock::new();
+    *SEED.get_or_init(|| {
+        let floor = uplinks(&[&[FLOOR_SNR_DB]]).concat().remove(0);
+        (0..512)
+            .find(|&seed| {
+                let gateway = SoftLoraGateway::builder(phy()).seed(seed).build();
+                matches!(
+                    gateway.pipeline().front_half(&floor, 0),
+                    Ok(FrontFrame::NotReceived { outcome: ReceptionOutcome::NoSignal, .. })
+                )
+            })
+            .expect("some gateway seed leaves the floor copy unanalysable")
+    })
+}
 
 fn phy() -> PhyConfig {
     PhyConfig::uplink(SpreadingFactor::Sf7)
@@ -66,7 +83,7 @@ fn single_gateway_batch_survives_an_unanalysable_copy() {
         uplinks(&[&[FLOOR_SNR_DB], &[10.0], &[10.0], &[10.0], &[10.0]]).concat();
     let gateway = || {
         let dev = device();
-        SoftLoraGateway::builder(phy()).seed(FLOOR_SEED).provision(dev.dev_addr, dev.keys).build()
+        SoftLoraGateway::builder(phy()).seed(floor_seed()).provision(dev.dev_addr, dev.keys).build()
     };
     let before = unanalysed_total();
     let mut sequential = gateway();
@@ -114,7 +131,7 @@ fn network_server_drops_the_copy_from_its_group() {
         NetworkServer::builder(phy())
             .warmup_frames(2)
             .gateway(5)
-            .gateway(FLOOR_SEED)
+            .gateway(floor_seed())
             .shards(1)
             .provision(dev.dev_addr, dev.keys)
             .build()
