@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use softlora_dsp::aic::{aic_onset_with, aic_pick, power_aic_onset_with, power_aic_pick};
 use softlora_dsp::envelope::EnvelopeDetector;
 use softlora_dsp::fft::{fft_forward, fft_in_place, FftPlan};
-use softlora_dsp::hilbert::envelope;
+use softlora_dsp::hilbert::envelope_with;
 use softlora_dsp::kernels::dechirp_fold_into;
 use softlora_dsp::{Complex, DspScratch, FftKernel, FftPlanner};
 use std::hint::black_box;
@@ -176,16 +176,16 @@ fn bench_pickers(c: &mut Criterion) {
         let mut scratch = DspScratch::new();
         b.iter(|| power_aic_onset_with(black_box(&i), black_box(&q), 16, &mut scratch))
     });
-    group.bench_function("envelope_detector", |b| {
-        let det = EnvelopeDetector::new();
-        b.iter(|| det.detect(black_box(&i)))
-    });
     group.bench_function("envelope_onset_scratch", |b| {
         let det = EnvelopeDetector::new();
         let mut scratch = DspScratch::new();
         b.iter(|| det.detect_onset_with(black_box(&i), &mut scratch))
     });
-    group.bench_function("hilbert_envelope", |b| b.iter(|| envelope(black_box(&i))));
+    group.bench_function("hilbert_envelope", |b| {
+        let mut scratch = DspScratch::new();
+        let mut env = Vec::new();
+        b.iter(|| envelope_with(black_box(&i), &mut scratch, &mut env))
+    });
     group.finish();
 }
 

@@ -6,6 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use softlora::fb_estimator::{FbEstimator, FbMethod};
 use softlora_bench::common;
+use softlora_dsp::DspScratch;
 use softlora_phy::{PhyConfig, SpreadingFactor};
 use std::hint::black_box;
 
@@ -16,16 +17,18 @@ fn bench_estimators(c: &mut Criterion) {
     let noisy = common::with_noise(&cap, 0.0, false, 2);
     // The regime the SNR policy routes to the matched filter.
     let faint = common::with_noise(&cap, -20.0, false, 3);
+    let mut scratch = DspScratch::new();
 
     let mut group = c.benchmark_group("fb_estimation_sf7");
     group.bench_function("linear_regression", |b| {
         b.iter(|| {
             estimator
-                .estimate_from_capture(
+                .estimate_from_capture_with(
                     black_box(&noisy),
                     noisy.true_onset,
                     FbMethod::LinearRegression,
                     1.0,
+                    &mut scratch,
                 )
                 .expect("lr")
         })
@@ -33,11 +36,12 @@ fn bench_estimators(c: &mut Criterion) {
     group.bench_function("matched_filter", |b| {
         b.iter(|| {
             estimator
-                .estimate_from_capture(
+                .estimate_from_capture_with(
                     black_box(&noisy),
                     noisy.true_onset,
                     FbMethod::MatchedFilter,
                     1.0,
+                    &mut scratch,
                 )
                 .expect("mf")
         })
@@ -45,11 +49,12 @@ fn bench_estimators(c: &mut Criterion) {
     group.bench_function("matched_filter_minus_20db", |b| {
         b.iter(|| {
             estimator
-                .estimate_from_capture(
+                .estimate_from_capture_with(
                     black_box(&faint),
                     faint.true_onset,
                     FbMethod::MatchedFilter,
                     100.0,
+                    &mut scratch,
                 )
                 .expect("mf")
         })
@@ -58,11 +63,12 @@ fn bench_estimators(c: &mut Criterion) {
     group.bench_function("differential_evolution", |b| {
         b.iter(|| {
             estimator
-                .estimate_from_capture(
+                .estimate_from_capture_with(
                     black_box(&noisy),
                     noisy.true_onset,
                     FbMethod::DifferentialEvolution,
                     1.0,
+                    &mut scratch,
                 )
                 .expect("de")
         })

@@ -77,17 +77,22 @@ fn bench_pipeline(c: &mut Criterion) {
     // The per-frame win of the staged refactor: the front half picks the
     // onset once; the monolithic gateway effectively ran it twice.
     let pipeline = gw.pipeline();
+    let mut scratch = DspScratch::new();
     group.bench_function("front_half_single_pick", |b| {
-        b.iter(|| pipeline.front_half(black_box(&d), 1_000).expect("front half"))
+        b.iter(|| pipeline.front_half_with(black_box(&d), 1_000, &mut scratch).expect("front half"))
     });
-    let capture = pipeline.capture.synthesise(pipeline.config(), &d, 1_000).expect("capture");
+    let capture = pipeline
+        .capture
+        .synthesise_with(pipeline.config(), &d, 1_000, &mut scratch)
+        .expect("capture");
     group.bench_function("front_half_with_redundant_pick", |b| {
         b.iter(|| {
-            let front = pipeline.front_half(black_box(&d), 1_000).expect("front half");
+            let front =
+                pipeline.front_half_with(black_box(&d), 1_000, &mut scratch).expect("front half");
             // The second pick the old monolith paid for per frame.
             let again = pipeline
                 .onset
-                .pick(black_box(&capture.capture), d.arrival_global_s)
+                .pick_with(black_box(&capture.capture), d.arrival_global_s, &mut scratch)
                 .expect("redundant pick");
             (front, again)
         })
@@ -96,7 +101,6 @@ fn bench_pipeline(c: &mut Criterion) {
     // The simulator stage alone, with ADC quantisation on (the default).
     let config = SoftLoraConfig::new(pipeline.config().phy);
     let synth = CaptureSynth::new(&config, 3);
-    let mut scratch = DspScratch::new();
     group.bench_function("capture_synth_sf7", |b| {
         b.iter(|| {
             let out = synth

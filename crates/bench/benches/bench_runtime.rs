@@ -7,7 +7,7 @@
 //!    edge);
 //! 2. `stream_*` — the gateway + network-server stack end to end:
 //!    the same pinned group stream through `NetworkServer::process_batch`
-//!    (the rayon batch path) and through the flowgraph
+//!    (the scoped-thread batch path) and through the flowgraph
 //!    (source → per-gateway fronts → server sink) at 1 and 4 scheduler
 //!    workers, in frames (per-gateway copies) per second.
 

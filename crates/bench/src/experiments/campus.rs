@@ -9,6 +9,7 @@
 use crate::common;
 use softlora::phy_timestamp::{OnsetMethod, PhyTimestamper};
 use softlora::pipeline::OnsetStage;
+use softlora_dsp::DspScratch;
 use softlora_phy::{PhyConfig, SpreadingFactor};
 use softlora_sim::deployment::CampusDeployment;
 
@@ -46,12 +47,13 @@ pub fn run(trials: usize) -> CampusResult {
     // single pick that feeds both timestamping and FB estimation on the
     // full gateway.
     let onset = OnsetStage::new(PhyTimestamper::new(OnsetMethod::PowerAic));
+    let mut scratch = DspScratch::new();
 
     let timing_errors_us = (0..trials)
         .map(|t| {
             let clean = common::capture(&phy, 2, -23_000.0, 0.8, 600, 40 + t as u64);
             let noisy = common::with_noise(&clean, link.snr_db(), true, 90 + t as u64);
-            let pick = onset.pick(&noisy, 0.0).expect("pick");
+            let pick = onset.pick_with(&noisy, 0.0, &mut scratch).expect("pick");
             let err_s =
                 (pick.timestamp.onset_sample as i64 - noisy.true_onset as i64) as f64 * noisy.dt();
             err_s.abs() * 1e6 + pick.timestamp.quantisation_bound_s * 1e6

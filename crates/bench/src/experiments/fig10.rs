@@ -9,6 +9,7 @@
 
 use crate::common;
 use softlora::phy_timestamp::{OnsetMethod, PhyTimestamper};
+use softlora_dsp::DspScratch;
 use softlora_phy::{PhyConfig, SpreadingFactor};
 
 /// One SNR point of the Fig. 10 series.
@@ -26,6 +27,7 @@ pub struct Fig10Point {
 pub fn run(snrs_db: &[f64], trials: usize, method: OnsetMethod) -> Vec<Fig10Point> {
     let phy = PhyConfig::uplink(SpreadingFactor::Sf7);
     let ts = PhyTimestamper::new(method);
+    let mut scratch = DspScratch::new();
     snrs_db
         .iter()
         .map(|&snr| {
@@ -34,7 +36,7 @@ pub fn run(snrs_db: &[f64], trials: usize, method: OnsetMethod) -> Vec<Fig10Poin
             for t in 0..trials {
                 let clean = common::capture(&phy, 2, -22_000.0, 1.0, 700, 31 * t as u64 + 5);
                 let noisy = common::with_noise(&clean, snr, false, 77 + t as u64);
-                let err = ts.timestamp_error_s(&noisy).expect("pick").abs() * 1e6;
+                let err = ts.timestamp_error_s(&noisy, &mut scratch).expect("pick").abs() * 1e6;
                 sum += err;
                 max = max.max(err);
             }

@@ -9,6 +9,7 @@
 use softlora::fb_estimator::{FbEstimator, FbMethod};
 use softlora_dsp::regression::linear_fit;
 use softlora_dsp::unwrap::unwrap_iq;
+use softlora_dsp::DspScratch;
 use softlora_phy::{ChirpGenerator, LoRaChannel, PhyConfig, SpreadingFactor};
 
 /// Outputs of the Figs. 11–12 regeneration.
@@ -77,7 +78,7 @@ pub fn run() -> Fig11to12 {
 
     // Cross-check against the production estimator.
     let est = FbEstimator::new(&phy, 2.4e6);
-    let _ = est.linear_regression(&i, &q).expect("estimator agrees");
+    let _ = est.linear_regression_with(&i, &q, &mut DspScratch::new()).expect("estimator agrees");
     let _ = FbMethod::LinearRegression;
 
     Fig11to12 {

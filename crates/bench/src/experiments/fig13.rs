@@ -8,6 +8,7 @@
 
 use crate::common;
 use softlora::fb_estimator::{FbEstimator, FbMethod};
+use softlora_dsp::DspScratch;
 use softlora_phy::oscillator::Oscillator;
 use softlora_phy::{PhyConfig, SpreadingFactor};
 
@@ -37,6 +38,7 @@ pub fn run(nodes: usize, frames: usize) -> Vec<Fig13Node> {
     let estimator = FbEstimator::new(&phy, 2.4e6);
     // One SoftLoRa SDR receiver for all measurements (fixed δRx).
     let rx_bias_ppm = 2.0;
+    let mut scratch = DspScratch::new();
     let mut out = Vec::with_capacity(nodes);
     for node in 0..nodes {
         let mut device = Oscillator::sample_end_device(common::FC, node as u64);
@@ -49,14 +51,26 @@ pub fn run(nodes: usize, frames: usize) -> Vec<Fig13Node> {
             // Original transmission.
             let cap = common::capture(&phy, 2, tx_bias, rx_bias_ppm, 400, seed);
             let fb = estimator
-                .estimate_from_capture(&cap, cap.true_onset, FbMethod::LinearRegression, 0.0)
+                .estimate_from_capture_with(
+                    &cap,
+                    cap.true_onset,
+                    FbMethod::LinearRegression,
+                    0.0,
+                    &mut scratch,
+                )
                 .expect("fb original");
             orig.push(fb.delta_hz / 1e3);
             // Replay: same waveform re-emitted through the USRP chain.
             let replay_bias = tx_bias + usrp.frame_bias_hz();
             let cap_r = common::capture(&phy, 2, replay_bias, rx_bias_ppm, 400, seed + 7);
             let fb_r = estimator
-                .estimate_from_capture(&cap_r, cap_r.true_onset, FbMethod::LinearRegression, 0.0)
+                .estimate_from_capture_with(
+                    &cap_r,
+                    cap_r.true_onset,
+                    FbMethod::LinearRegression,
+                    0.0,
+                    &mut scratch,
+                )
                 .expect("fb replay");
             replayed.push(fb_r.delta_hz / 1e3);
         }

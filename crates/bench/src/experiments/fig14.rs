@@ -8,6 +8,7 @@
 
 use crate::common;
 use softlora::fb_estimator::{FbEstimator, FbMethod};
+use softlora_dsp::DspScratch;
 use softlora_phy::{PhyConfig, SpreadingFactor};
 
 /// One point of the Fig. 14 series.
@@ -30,6 +31,7 @@ pub fn run(snrs_db: &[f64], real_noise: bool, trials: usize, method: FbMethod) -
     let phy = PhyConfig::uplink(SpreadingFactor::Sf7);
     let estimator = FbEstimator::new(&phy, 2.4e6);
     let true_bias = -21_500.0;
+    let mut scratch = DspScratch::new();
     snrs_db
         .iter()
         .map(|&snr| {
@@ -39,7 +41,13 @@ pub fn run(snrs_db: &[f64], real_noise: bool, trials: usize, method: FbMethod) -
                     let noisy = common::with_noise(&clean, snr, real_noise, 9000 + 13 * t as u64);
                     let noise_power = 10f64.powf(-snr / 10.0);
                     let fb = estimator
-                        .estimate_from_capture(&noisy, noisy.true_onset, method, noise_power)
+                        .estimate_from_capture_with(
+                            &noisy,
+                            noisy.true_onset,
+                            method,
+                            noise_power,
+                            &mut scratch,
+                        )
                         .expect("fb estimate");
                     (fb.delta_hz - true_bias).abs()
                 })

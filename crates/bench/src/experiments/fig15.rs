@@ -8,6 +8,7 @@
 
 use crate::common;
 use softlora::phy_timestamp::{OnsetMethod, PhyTimestamper};
+use softlora_dsp::DspScratch;
 use softlora_phy::{PhyConfig, SpreadingFactor};
 use softlora_sim::deployment::{BuildingDeployment, BUILDING_COLUMNS, BUILDING_FLOORS};
 
@@ -37,6 +38,7 @@ pub fn run(trials: usize) -> Vec<Fig15Cell> {
     let tx = b.fixed_node();
     let phy = PhyConfig::uplink(SpreadingFactor::Sf12);
     let ts = PhyTimestamper::new(OnsetMethod::PowerAic);
+    let mut scratch = DspScratch::new();
     // SF12 captures are long; survey timing with SF9 chirps for tractable
     // runtime — the error depends on SNR, not SF, for amplitude pickers.
     let phy_fast = PhyConfig::uplink(SpreadingFactor::Sf9);
@@ -58,7 +60,7 @@ pub fn run(trials: usize) -> Vec<Fig15Cell> {
                         (col * 100 + floor * 10 + t) as u64,
                     );
                     let noisy = common::with_noise(&clean, snr, true, (col * 31 + floor) as u64);
-                    let err = ts.timestamp_error_s(&noisy).expect("pick").abs() * 1e6
+                    let err = ts.timestamp_error_s(&noisy, &mut scratch).expect("pick").abs() * 1e6
                         + noisy.dt() * 1e6 / 2.0;
                     worst = worst.max(err);
                 }

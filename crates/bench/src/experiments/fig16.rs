@@ -12,6 +12,7 @@
 
 use crate::common;
 use softlora::fb_estimator::{FbEstimator, FbMethod};
+use softlora_dsp::DspScratch;
 use softlora_lorawan::region::TxPower;
 use softlora_phy::oscillator::Oscillator;
 use softlora_phy::{PhyConfig, SpreadingFactor};
@@ -75,6 +76,7 @@ pub fn run(trials: usize) -> Fig16Series {
     // Receiver biases: the eavesdropper is a USRP; the gateway an RTL-SDR.
     let eaves_rx_ppm = eaves_usrp.bias_ppm();
     let gw_rx_ppm = 1.5;
+    let mut scratch = DspScratch::new();
 
     let mut to_eaves = Vec::new();
     let mut to_gw = Vec::new();
@@ -93,11 +95,12 @@ pub fn run(trials: usize) -> Fig16Series {
             let noisy = common::with_noise(&cap, snr + 15.0, false, seed + 1); // eaves is close
             v_eaves.push(
                 estimator
-                    .estimate_from_capture(
+                    .estimate_from_capture_with(
                         &noisy,
                         noisy.true_onset,
                         FbMethod::LinearRegression,
                         0.0,
+                        &mut scratch,
                     )
                     .expect("eaves fb")
                     .delta_hz,
@@ -107,7 +110,13 @@ pub fn run(trials: usize) -> Fig16Series {
             let noisy = common::with_noise(&cap, snr, false, seed + 3);
             v_gw.push(
                 estimator
-                    .estimate_from_capture(&noisy, noisy.true_onset, FbMethod::MatchedFilter, 0.0)
+                    .estimate_from_capture_with(
+                        &noisy,
+                        noisy.true_onset,
+                        FbMethod::MatchedFilter,
+                        0.0,
+                        &mut scratch,
+                    )
                     .expect("gw fb")
                     .delta_hz,
             );
@@ -122,7 +131,13 @@ pub fn run(trials: usize) -> Fig16Series {
             let noisy = common::with_noise(&cap, snr, false, seed + 5);
             v_replay.push(
                 estimator
-                    .estimate_from_capture(&noisy, noisy.true_onset, FbMethod::MatchedFilter, 0.0)
+                    .estimate_from_capture_with(
+                        &noisy,
+                        noisy.true_onset,
+                        FbMethod::MatchedFilter,
+                        0.0,
+                        &mut scratch,
+                    )
                     .expect("replay fb")
                     .delta_hz,
             );

@@ -12,7 +12,8 @@
 use crate::common;
 use softlora_dsp::aic::aic_pick;
 use softlora_dsp::envelope::EnvelopeDetector;
-use softlora_dsp::spectrogram::{stft, Spectrogram, StftConfig};
+use softlora_dsp::spectrogram::{stft_with, Spectrogram, StftConfig};
+use softlora_dsp::DspScratch;
 use softlora_phy::{ChirpGenerator, PhyConfig, SpreadingFactor};
 
 /// Summary of the regenerated figures.
@@ -43,7 +44,9 @@ pub fn run() -> Fig6to9 {
     let generator =
         ChirpGenerator::new(phy.sf, phy.channel.bandwidth.hz(), fs).expect("chirp generator");
     let chirp = generator.upchirp(0, 0.0, 0.0, 1.0);
-    let sg: Spectrogram = stft(&chirp, &StftConfig::paper_fig6(7, fs)).expect("spectrogram");
+    let mut scratch = DspScratch::new();
+    let sg: Spectrogram =
+        stft_with(&chirp, &StftConfig::paper_fig6(7, fs), &mut scratch).expect("spectrogram");
     let ridge_hz = sg.ridge();
 
     // Fig. 7: θ = 0 versus θ = π.
@@ -55,7 +58,7 @@ pub fn run() -> Fig6to9 {
 
     // Figs. 8–9: a realistic capture with FB, and the two detectors.
     let cap = common::capture(&phy, 2, -22_800.0, 1.2, 700, 3);
-    let env = EnvelopeDetector::new().detect(&cap.i).expect("envelope");
+    let env = EnvelopeDetector::new().detect_onset_with(&cap.i, &mut scratch).expect("envelope");
     let aic = aic_pick(&cap.i, 16).expect("aic");
 
     Fig6to9 {
@@ -63,7 +66,7 @@ pub fn run() -> Fig6to9 {
         time_resolution_us: sg.time_resolution() * 1e6,
         ridge_hz,
         phase_trace_correlation,
-        envelope_onset_error: env.onset as i64 - cap.true_onset as i64,
+        envelope_onset_error: env as i64 - cap.true_onset as i64,
         aic_onset_error: aic.onset as i64 - cap.true_onset as i64,
     }
 }

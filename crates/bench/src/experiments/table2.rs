@@ -5,6 +5,7 @@ use crate::common;
 use softlora::phy_timestamp::{OnsetMethod, PhyTimestamper};
 use softlora_dsp::aic::aic_pick;
 use softlora_dsp::envelope::EnvelopeDetector;
+use softlora_dsp::DspScratch;
 use softlora_phy::{PhyConfig, SpreadingFactor};
 
 /// Result of one detector/trace-component combination across trials.
@@ -40,6 +41,7 @@ pub fn run(trials: usize) -> Vec<Table2Row> {
         Table2Row { detector: "AIC", component: "I", errors_us: Vec::new() },
         Table2Row { detector: "AIC", component: "Q", errors_us: Vec::new() },
     ];
+    let mut scratch = DspScratch::new();
     for t in 0..trials {
         let cap = common::capture(&phy, 2, -22_000.0 - 150.0 * (t % 4) as f64, 1.5, 500, t as u64);
         let dt_us = cap.dt() * 1e6;
@@ -47,8 +49,8 @@ pub fn run(trials: usize) -> Vec<Table2Row> {
             (onset as f64 - cap.true_onset as f64).abs() * dt_us + dt_us / 2.0
         };
         let env = EnvelopeDetector::new();
-        rows[0].errors_us.push(bound(env.detect(&cap.i).expect("env I").onset));
-        rows[1].errors_us.push(bound(env.detect(&cap.q).expect("env Q").onset));
+        rows[0].errors_us.push(bound(env.detect_onset_with(&cap.i, &mut scratch).expect("env I")));
+        rows[1].errors_us.push(bound(env.detect_onset_with(&cap.q, &mut scratch).expect("env Q")));
         rows[2].errors_us.push(bound(aic_pick(&cap.i, 16).expect("aic I").onset));
         rows[3].errors_us.push(bound(aic_pick(&cap.q, 16).expect("aic Q").onset));
     }
@@ -66,9 +68,10 @@ pub fn production_timestamper_max_error_us(trials: usize) -> f64 {
     let phy = PhyConfig::uplink(SpreadingFactor::Sf7);
     let ts = PhyTimestamper::new(OnsetMethod::Aic);
     let mut max = 0.0f64;
+    let mut scratch = DspScratch::new();
     for t in 0..trials {
         let cap = common::capture(&phy, 2, -21_000.0, 0.5, 500, 1000 + t as u64);
-        let err = ts.timestamp_error_s(&cap).expect("timestamp").abs() * 1e6;
+        let err = ts.timestamp_error_s(&cap, &mut scratch).expect("timestamp").abs() * 1e6;
         max = max.max(err);
     }
     max

@@ -4,7 +4,7 @@
 //! `Θ(t) = πW²/2^S·t² − πW·t + 2πδ·t + θ` with `δ = δTx − δRx`; three
 //! estimators recover `δ`:
 //!
-//! * [`FbEstimator::linear_regression`] — the paper's closed-form method
+//! * [`FbEstimator::linear_regression_with`] — the paper's closed-form method
 //!   (§7.1.1): rectified `atan2(Q, I)` unwrap, subtract the quadratic,
 //!   fit the slope. `O(N)`, accurate at workable SNR, breaks when the
 //!   unwrap slips at low SNR.
@@ -12,7 +12,7 @@
 //!   (§7.1.2): least-squares template fit over `(δ, θ)` with the amplitude
 //!   estimated from the power split, solved by DE (the paper uses scipy's
 //!   implementation; ours lives in `softlora_dsp::optimize`).
-//! * [`FbEstimator::matched_filter`] — an algebraically equivalent but much
+//! * [`FbEstimator::matched_filter_with`] — an algebraically equivalent but much
 //!   faster solver for the same least-squares problem: for fixed `δ` the
 //!   optimal `θ` is closed-form, reducing the search to maximising
 //!   `|⟨z, chirp_δ⟩|` over `δ` alone — a dechirped FFT plus a golden-section
@@ -36,7 +36,6 @@ use crate::SoftLoraError;
 use softlora_dsp::fft::next_pow2;
 use softlora_dsp::optimize::{golden_section, nelder_mead, DifferentialEvolution};
 use softlora_dsp::regression::linear_fit;
-use softlora_dsp::scratch::with_thread_scratch;
 use softlora_dsp::unwrap::unwrap_iq_with;
 use softlora_dsp::{Complex, DspScratch};
 use softlora_phy::chirp::cached_chirp_refs;
@@ -125,22 +124,13 @@ impl FbEstimator {
 
     /// Closed-form linear-regression estimate from one chirp of I/Q data
     /// (paper §7.1.1). The slices must start at the chirp onset and be at
-    /// least one chirp long (extra samples are ignored).
+    /// least one chirp long (extra samples are ignored). The unwrapped
+    /// phase, time axis and de-quadratic'd phase live in the arena.
     ///
     /// # Errors
     ///
     /// Returns [`SoftLoraError::Capture`] when fewer than one chirp of
     /// samples is supplied, and propagates regression failures.
-    pub fn linear_regression(&self, i: &[f64], q: &[f64]) -> Result<FbEstimate, SoftLoraError> {
-        with_thread_scratch(|scratch| self.linear_regression_with(i, q, scratch))
-    }
-
-    /// [`FbEstimator::linear_regression`] with arena-held intermediates
-    /// (unwrapped phase, time axis, de-quadratic'd phase).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FbEstimator::linear_regression`].
     pub fn linear_regression_with(
         &self,
         i: &[f64],
@@ -239,24 +229,14 @@ impl FbEstimator {
     /// coarse peak, then a golden-section search polishes the correlation
     /// magnitude on the full-rate dechirped sequence. The coarse FFT runs
     /// on the tone boxcar-decimated by `D` (see the module docs), with the
-    /// same ≈73 Hz bin grid as a 4×-padded full-rate FFT.
+    /// same ≈73 Hz bin grid as a 4×-padded full-rate FFT. The dechirped
+    /// sequence and decimated spectrum live in the arena.
     ///
     /// # Errors
     ///
     /// Returns [`SoftLoraError::Capture`] when fewer than one chirp of
     /// samples is supplied, or when `search_range_hz` lies outside
     /// ±Nyquist or holds no FFT bin.
-    pub fn matched_filter(&self, z: &[Complex]) -> Result<FbEstimate, SoftLoraError> {
-        with_thread_scratch(|scratch| self.matched_filter_with(z, scratch))
-    }
-
-    /// [`FbEstimator::matched_filter`] with arena-held intermediates
-    /// (dechirped sequence, decimated spectrum) — the per-worker
-    /// steady-state path of the gateway's low-SNR estimator.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FbEstimator::matched_filter`].
     pub fn matched_filter_with(
         &self,
         z: &[Complex],
@@ -419,34 +399,16 @@ impl FbEstimator {
     /// Estimates the FB from an SDR capture whose signal onset is at sample
     /// `onset` (from the PHY timestamper), using the *second* captured
     /// chirp as the paper prescribes (§5.1: "the second sampled chirp is
-    /// used to extract the FB of the transmitter").
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SoftLoraError::Capture`] when the capture does not hold
-    /// two full chirps after `onset`.
-    pub fn estimate_from_capture(
-        &self,
-        capture: &softlora_phy::sdr::IqCapture,
-        onset: usize,
-        method: FbMethod,
-        noise_power: f64,
-    ) -> Result<FbEstimate, SoftLoraError> {
-        with_thread_scratch(|scratch| {
-            self.estimate_from_capture_with(capture, onset, method, noise_power, scratch)
-        })
-    }
-
-    /// [`FbEstimator::estimate_from_capture`] against a caller-owned
-    /// scratch arena — the per-worker steady-state path: the complex view
-    /// of the capture and every estimator intermediate reuse pooled
-    /// buffers. (The differential-evolution method keeps its own
+    /// used to extract the FB of the transmitter"). The complex view of
+    /// the capture and every estimator intermediate reuse the arena's
+    /// pooled buffers. (The differential-evolution method keeps its own
     /// allocations; it is the paper-faithful research path, not the
     /// production one.)
     ///
     /// # Errors
     ///
-    /// Same as [`FbEstimator::estimate_from_capture`].
+    /// Returns [`SoftLoraError::Capture`] when the capture does not hold
+    /// two full chirps after `onset`.
     pub fn estimate_from_capture_with(
         &self,
         capture: &softlora_phy::sdr::IqCapture,
@@ -549,11 +511,18 @@ mod tests {
 
     #[test]
     fn linear_regression_recovers_paper_example() {
+        let mut scratch = DspScratch::new();
         // Paper Fig. 12: δ ≈ −22.8 kHz estimated from a real trace.
         let cap = clean_capture(-22_800.0, 0.0, 0.3, 1);
         let est = FbEstimator::new(&cfg(), cap.sample_rate);
         let fb = est
-            .estimate_from_capture(&cap, cap.true_onset, FbMethod::LinearRegression, 0.0)
+            .estimate_from_capture_with(
+                &cap,
+                cap.true_onset,
+                FbMethod::LinearRegression,
+                0.0,
+                &mut scratch,
+            )
             .unwrap();
         assert!((fb.delta_hz + 22_800.0).abs() < 20.0, "fb {}", fb.delta_hz);
         assert!(fb.quality > 0.999);
@@ -561,11 +530,18 @@ mod tests {
 
     #[test]
     fn net_bias_is_tx_minus_rx() {
+        let mut scratch = DspScratch::new();
         // δTx = −20 kHz, δRx = +4.349 kHz (5 ppm) -> δ ≈ −24.35 kHz.
         let cap = clean_capture(-20_000.0, 5.0, 1.0, 2);
         let est = FbEstimator::new(&cfg(), cap.sample_rate);
         let fb = est
-            .estimate_from_capture(&cap, cap.true_onset, FbMethod::LinearRegression, 0.0)
+            .estimate_from_capture_with(
+                &cap,
+                cap.true_onset,
+                FbMethod::LinearRegression,
+                0.0,
+                &mut scratch,
+            )
             .unwrap();
         let expect = -20_000.0 - 5.0 * FC / 1e6;
         assert!((fb.delta_hz - expect).abs() < 20.0, "fb {} want {expect}", fb.delta_hz);
@@ -573,19 +549,34 @@ mod tests {
 
     #[test]
     fn matched_filter_matches_regression_on_clean_signal() {
+        let mut scratch = DspScratch::new();
         let cap = clean_capture(-18_500.0, 0.0, 2.0, 3);
         let est = FbEstimator::new(&cfg(), cap.sample_rate);
         let lr = est
-            .estimate_from_capture(&cap, cap.true_onset, FbMethod::LinearRegression, 0.0)
+            .estimate_from_capture_with(
+                &cap,
+                cap.true_onset,
+                FbMethod::LinearRegression,
+                0.0,
+                &mut scratch,
+            )
             .unwrap();
-        let mf =
-            est.estimate_from_capture(&cap, cap.true_onset, FbMethod::MatchedFilter, 0.0).unwrap();
+        let mf = est
+            .estimate_from_capture_with(
+                &cap,
+                cap.true_onset,
+                FbMethod::MatchedFilter,
+                0.0,
+                &mut scratch,
+            )
+            .unwrap();
         assert!((lr.delta_hz - mf.delta_hz).abs() < 30.0, "{} vs {}", lr.delta_hz, mf.delta_hz);
         assert!(mf.quality > 0.9, "quality {}", mf.quality);
     }
 
     #[test]
     fn matched_filter_robust_at_minus_25_db() {
+        let mut scratch = DspScratch::new();
         // Paper Fig. 14: FB error ≤ 120 Hz down to −25 dB SNR.
         let mut errs = Vec::new();
         for seed in 0..6 {
@@ -597,7 +588,13 @@ mod tests {
                 softlora_phy::sdr::IqCapture::from_complex(&z, cap.sample_rate, cap.true_onset);
             let est = FbEstimator::new(&cfg(), cap.sample_rate);
             let fb = est
-                .estimate_from_capture(&noisy, cap.true_onset, FbMethod::MatchedFilter, 0.0)
+                .estimate_from_capture_with(
+                    &noisy,
+                    cap.true_onset,
+                    FbMethod::MatchedFilter,
+                    0.0,
+                    &mut scratch,
+                )
                 .unwrap();
             errs.push((fb.delta_hz + 21_000.0).abs());
         }
@@ -611,6 +608,7 @@ mod tests {
 
     #[test]
     fn regression_breaks_down_where_ls_survives() {
+        let mut scratch = DspScratch::new();
         // The paper's §7.1.2 motivation: the unwrap-based method degrades
         // at very low SNR while the least-squares search does not.
         let mut lr_err = 0.0;
@@ -624,13 +622,25 @@ mod tests {
                 softlora_phy::sdr::IqCapture::from_complex(&z, cap.sample_rate, cap.true_onset);
             let est = FbEstimator::new(&cfg(), cap.sample_rate);
             lr_err += (est
-                .estimate_from_capture(&noisy, cap.true_onset, FbMethod::LinearRegression, 0.0)
+                .estimate_from_capture_with(
+                    &noisy,
+                    cap.true_onset,
+                    FbMethod::LinearRegression,
+                    0.0,
+                    &mut scratch,
+                )
                 .unwrap()
                 .delta_hz
                 + 21_000.0)
                 .abs();
             mf_err += (est
-                .estimate_from_capture(&noisy, cap.true_onset, FbMethod::MatchedFilter, 0.0)
+                .estimate_from_capture_with(
+                    &noisy,
+                    cap.true_onset,
+                    FbMethod::MatchedFilter,
+                    0.0,
+                    &mut scratch,
+                )
                 .unwrap()
                 .delta_hz
                 + 21_000.0)
@@ -641,12 +651,19 @@ mod tests {
 
     #[test]
     fn de_solves_the_least_squares_problem() {
+        let mut scratch = DspScratch::new();
         // Keep it light for unit tests: clean signal, small DE budget.
         let cap = clean_capture(-23_456.0, 0.0, 1.3, 5);
         let mut est = FbEstimator::new(&cfg(), cap.sample_rate);
         est.de_seed = 11;
         let fb = est
-            .estimate_from_capture(&cap, cap.true_onset, FbMethod::DifferentialEvolution, 0.0)
+            .estimate_from_capture_with(
+                &cap,
+                cap.true_onset,
+                FbMethod::DifferentialEvolution,
+                0.0,
+                &mut scratch,
+            )
             .unwrap();
         assert!((fb.delta_hz + 23_456.0).abs() < 50.0, "fb {}", fb.delta_hz);
         assert!(fb.quality > 0.9, "quality {}", fb.quality);
@@ -671,6 +688,7 @@ mod tests {
 
     #[test]
     fn onset_error_biases_estimate_microseconds_matter() {
+        let mut scratch = DspScratch::new();
         // The paper's claim that µs timestamping is a *prerequisite*:
         // a 25-sample (10 µs) onset error biases the regression by
         // ~W²/2^S · ε ≈ 1.25 kHz at SF7. Use a 3-chirp capture so the
@@ -680,10 +698,22 @@ mod tests {
         let cap = rx.capture_chirps(&cfg(), 3, -20_000.0, 0.9, 1.0, 300).unwrap();
         let est = FbEstimator::new(&cfg(), cap.sample_rate);
         let good = est
-            .estimate_from_capture(&cap, cap.true_onset, FbMethod::LinearRegression, 0.0)
+            .estimate_from_capture_with(
+                &cap,
+                cap.true_onset,
+                FbMethod::LinearRegression,
+                0.0,
+                &mut scratch,
+            )
             .unwrap();
         let bad = est
-            .estimate_from_capture(&cap, cap.true_onset + 25, FbMethod::LinearRegression, 0.0)
+            .estimate_from_capture_with(
+                &cap,
+                cap.true_onset + 25,
+                FbMethod::LinearRegression,
+                0.0,
+                &mut scratch,
+            )
             .unwrap();
         let bias = (bad.delta_hz - good.delta_hz).abs();
         assert!(bias > 800.0, "onset error should visibly bias the FB: {bias} Hz");
@@ -691,12 +721,16 @@ mod tests {
 
     #[test]
     fn capture_too_short_is_error() {
+        let mut scratch = DspScratch::new();
         let cap = clean_capture(-20_000.0, 0.0, 0.0, 7);
         let est = FbEstimator::new(&cfg(), cap.sample_rate);
         for m in
             [FbMethod::LinearRegression, FbMethod::MatchedFilter, FbMethod::DifferentialEvolution]
         {
-            assert!(est.estimate_from_capture(&cap, cap.len(), m, 0.0).is_err(), "{m:?}");
+            assert!(
+                est.estimate_from_capture_with(&cap, cap.len(), m, 0.0, &mut scratch).is_err(),
+                "{m:?}"
+            );
         }
     }
 
@@ -765,6 +799,7 @@ mod tests {
 
     #[test]
     fn decimated_search_agrees_with_full_rate_oracle() {
+        let mut scratch = DspScratch::new();
         let mut seed = 200;
         for delta in [0.0, 10_000.0, -10_000.0, 33_900.0, -33_900.0] {
             for snr_db in [10.0, 0.0, -10.0, -20.0] {
@@ -772,7 +807,7 @@ mod tests {
                 let cap = clean_capture(delta, 0.0, 0.7, seed);
                 let est = FbEstimator::new(&cfg(), cap.sample_rate);
                 let z = noisy_from_onset(&cap, snr_db, 1000 + seed);
-                let fast = est.matched_filter(&z).unwrap().delta_hz;
+                let fast = est.matched_filter_with(&z, &mut scratch).unwrap().delta_hz;
                 let oracle = oracle_matched_filter(&est, &z);
                 assert!(
                     (fast - oracle).abs() < 1.0,
@@ -785,6 +820,7 @@ mod tests {
 
     #[test]
     fn decimation_follows_the_search_band() {
+        let mut scratch = DspScratch::new();
         assert_eq!(FbEstimator::new(&cfg(), 2.4e6).decimation().unwrap(), 8);
         // A fixed D = 8 (decimated Nyquist 150 kHz) would droop the
         // +90 kHz tone and fold the +250 kHz one onto −50 kHz.
@@ -794,7 +830,7 @@ mod tests {
             est.search_range_hz = (-edge, edge);
             assert_eq!(est.decimation().unwrap(), want_d, "±{edge} Hz");
             let z = noisy_from_onset(&cap, 0.0, 13);
-            let fb = est.matched_filter(&z).unwrap().delta_hz;
+            let fb = est.matched_filter_with(&z, &mut scratch).unwrap().delta_hz;
             assert!((fb - delta).abs() < 150.0, "δ {delta} Hz: fb {fb}");
             assert!((fb - oracle_matched_filter(&est, &z)).abs() < 1.0, "δ {delta} Hz: fb {fb}");
         }
@@ -802,33 +838,59 @@ mod tests {
 
     #[test]
     fn search_range_without_a_bin_is_an_error() {
+        let mut scratch = DspScratch::new();
         let cap = clean_capture(-20_000.0, 0.0, 0.2, 14);
         let z = noisy_from_onset(&cap, 10.0, 15);
         let mut est = FbEstimator::new(&cfg(), cap.sample_rate);
         // Between two bins of the ≈73 Hz grid.
         est.search_range_hz = (10.0, 20.0);
-        assert!(matches!(est.matched_filter(&z), Err(SoftLoraError::Capture { .. })));
+        assert!(matches!(
+            est.matched_filter_with(&z, &mut scratch),
+            Err(SoftLoraError::Capture { .. })
+        ));
         // Empty range.
         est.search_range_hz = (5_000.0, -5_000.0);
-        assert!(matches!(est.matched_filter(&z), Err(SoftLoraError::Capture { .. })));
+        assert!(matches!(
+            est.matched_filter_with(&z, &mut scratch),
+            Err(SoftLoraError::Capture { .. })
+        ));
         // Past ±Nyquist of the 2.4 MHz capture.
         est.search_range_hz = (-1.3e6, 0.0);
-        assert!(matches!(est.matched_filter(&z), Err(SoftLoraError::Capture { .. })));
+        assert!(matches!(
+            est.matched_filter_with(&z, &mut scratch),
+            Err(SoftLoraError::Capture { .. })
+        ));
         est.search_range_hz = (f64::NAN, 0.0);
-        assert!(matches!(est.matched_filter(&z), Err(SoftLoraError::Capture { .. })));
+        assert!(matches!(
+            est.matched_filter_with(&z, &mut scratch),
+            Err(SoftLoraError::Capture { .. })
+        ));
     }
 
     #[test]
     fn resolution_is_sub_ppm() {
+        let mut scratch = DspScratch::new();
         // Two biases 300 Hz apart (0.35 ppm) must be distinguishable.
         let cap_a = clean_capture(-20_000.0, 0.0, 0.4, 8);
         let cap_b = clean_capture(-20_300.0, 0.0, 1.9, 9);
         let est = FbEstimator::new(&cfg(), cap_a.sample_rate);
         let a = est
-            .estimate_from_capture(&cap_a, cap_a.true_onset, FbMethod::MatchedFilter, 0.0)
+            .estimate_from_capture_with(
+                &cap_a,
+                cap_a.true_onset,
+                FbMethod::MatchedFilter,
+                0.0,
+                &mut scratch,
+            )
             .unwrap();
         let b = est
-            .estimate_from_capture(&cap_b, cap_b.true_onset, FbMethod::MatchedFilter, 0.0)
+            .estimate_from_capture_with(
+                &cap_b,
+                cap_b.true_onset,
+                FbMethod::MatchedFilter,
+                0.0,
+                &mut scratch,
+            )
             .unwrap();
         let separation = a.delta_hz - b.delta_hz;
         assert!((separation - 300.0).abs() < 60.0, "separation {separation}");

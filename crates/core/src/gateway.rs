@@ -26,13 +26,14 @@
 
 use crate::builder::GatewayBuilder;
 use crate::config::SoftLoraConfig;
+use crate::fan_out::{fan_out, host_arenas};
 use crate::fb_db::FbDatabase;
 use crate::fb_estimator::FbEstimate;
 use crate::observer::{AcceptEvent, GatewayObserver, RejectEvent, ReplayFlagEvent, Stage};
 use crate::pipeline::{AnalyzedFrame, FrontFrame, Pipeline, StageTiming};
 use crate::replay_detect::{DetectionStats, ReplayVerdict};
 use crate::SoftLoraError;
-use rayon::prelude::*;
+use softlora_dsp::scratch::DspScratch;
 use softlora_lorawan::{DeviceKeys, ReceivedUplink, RxVerdict};
 use softlora_phy::rn2483::ReceptionOutcome;
 use softlora_phy::PhyConfig;
@@ -96,6 +97,9 @@ pub struct SoftLoraGateway {
     /// Deliveries processed so far; doubles as the per-delivery random
     /// stream index, so batch and sequential processing draw identically.
     frames_seen: u64,
+    /// One DSP arena per batch worker; [`SoftLoraGateway::process`] uses
+    /// the first.
+    arenas: Vec<DspScratch>,
 }
 
 impl std::fmt::Debug for SoftLoraGateway {
@@ -117,6 +121,7 @@ impl SoftLoraGateway {
             pipeline: Pipeline::new(config, seed),
             observers: Vec::new(),
             frames_seen: 0,
+            arenas: host_arenas(),
         }
     }
 
@@ -187,7 +192,7 @@ impl SoftLoraGateway {
     pub fn process(&mut self, delivery: &Delivery) -> Result<SoftLoraVerdict, SoftLoraError> {
         let frame_index = self.frames_seen;
         self.frames_seen += 1;
-        let front = self.pipeline.front_half(delivery, frame_index)?;
+        let front = self.pipeline.front_half_with(delivery, frame_index, &mut self.arenas[0])?;
         Ok(self.commit(delivery, frame_index, front))
     }
 
@@ -217,19 +222,9 @@ impl SoftLoraGateway {
         let indexed: Vec<(u64, &Delivery)> =
             deliveries.iter().enumerate().map(|(k, d)| (start + k as u64, d)).collect();
         let pipeline = &self.pipeline;
-        // One scratch arena per worker *thread*, persistent across batches:
-        // pooled buffers and FFT twiddle tables (the matched filter's and
-        // the onset picker's are the expensive part) are built once per rayon
-        // thread, not once per `process_batch` call, so the parallel front
-        // half is allocation-free in steady state even for small batches.
-        let fronts: Vec<Result<FrontFrame, SoftLoraError>> = indexed
-            .par_iter()
-            .map(|(frame_index, delivery)| {
-                softlora_dsp::scratch::with_thread_scratch(|scratch| {
-                    pipeline.front_half_with(delivery, *frame_index, scratch)
-                })
-            })
-            .collect();
+        let fronts = fan_out(&mut self.arenas, indexed, |scratch, (index, d)| {
+            pipeline.front_half_with(d, index, scratch)
+        });
 
         let mut verdicts = Vec::with_capacity(deliveries.len());
         for (k, front) in fronts.into_iter().enumerate() {

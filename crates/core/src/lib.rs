@@ -65,6 +65,7 @@
 pub mod analysis;
 pub mod builder;
 pub mod config;
+mod fan_out;
 pub mod fb_db;
 pub mod fb_estimator;
 pub mod fsck;
@@ -183,5 +184,20 @@ mod tests {
         assert!(l.to_string().contains("lorawan"));
         let c = SoftLoraError::Capture { reason: "too short" };
         assert!(c.source().is_none());
+    }
+
+    #[test]
+    fn works_on_tiny_inputs() {
+        let mut arenas = vec![(); 4];
+        let out: Vec<u32> = fan_out::fan_out(&mut arenas, Vec::new(), |_, x: u32| x + 1);
+        assert!(out.is_empty());
+        assert_eq!(fan_out::fan_out(&mut arenas, vec![41u32], |_, x| x + 1), vec![42]);
+    }
+
+    #[test]
+    fn map_init_single_item() {
+        // One item among four arenas still sees its arena's state.
+        let mut arenas = vec![10u32; 4];
+        assert_eq!(fan_out::fan_out(&mut arenas, vec![7u32], |s, x| *s + x), vec![17]);
     }
 }

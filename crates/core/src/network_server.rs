@@ -46,6 +46,7 @@
 //! shard-count changes are refused at build.
 
 use crate::config::SoftLoraConfig;
+use crate::fan_out::{fan_out, host_arenas, host_width};
 use crate::fb_db::{FbDatabase, FbEviction};
 use crate::gateway::SoftLoraVerdict;
 use crate::persist::{CommitRecord, DedupRecord, ShardSnapshot};
@@ -53,7 +54,7 @@ use crate::pipeline::{AnalyzedFrame, FrontFrame, MacStage, Pipeline};
 use crate::replay_detect::{DetectionStats, ReplayDetector, ReplayVerdict};
 use crate::replication::{CommitHook, SnapshotInstaller};
 use crate::SoftLoraError;
-use rayon::prelude::*;
+use softlora_dsp::scratch::DspScratch;
 use softlora_lorawan::frame::DataFrame;
 use softlora_lorawan::{
     best_copy, payload_hash, DedupCache, DedupOutcome, DeviceKeys, RxVerdict, UplinkCopy,
@@ -224,12 +225,6 @@ impl std::ops::AddAssign for ServerStats {
         self.not_received += rhs.not_received;
         self.lorawan_rejected += rhs.lorawan_rejected;
     }
-}
-
-/// Shard count when [`NetworkServerBuilder::shards`] is not called: one
-/// shard per available core.
-fn default_shard_count() -> usize {
-    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
 /// Fluent builder for [`NetworkServer`].
@@ -444,10 +439,8 @@ impl NetworkServerBuilder {
         // deployment reopens its own data after a core-count change.
         let shard_count = match (self.shards, &self.persist_dir) {
             (Some(n), _) => n,
-            (None, Some(dir)) => {
-                softlora_store::peek_shard_count(dir)?.unwrap_or_else(default_shard_count)
-            }
-            (None, None) => default_shard_count(),
+            (None, Some(dir)) => softlora_store::peek_shard_count(dir)?.unwrap_or_else(host_width),
+            (None, None) => host_width(),
         }
         .max(1);
         // The device-capacity bound splits across shards; `shards(1)`
@@ -508,6 +501,7 @@ impl NetworkServerBuilder {
             },
             installer: None,
             committer: None,
+            arenas: host_arenas(),
         };
 
         if let Some(dir) = self.persist_dir {
@@ -874,6 +868,8 @@ pub struct NetworkServer {
     /// Interval-based group-commit fsync thread, when a durability
     /// window was configured.
     pub(crate) committer: Option<GroupCommitter>,
+    /// One DSP arena per `process_batch` worker.
+    arenas: Vec<DspScratch>,
 }
 
 impl std::fmt::Debug for NetworkServer {
@@ -1377,19 +1373,11 @@ impl NetworkServer {
             frame_rows.extend_from_slice(&counters);
         }
 
-        // The embarrassingly parallel front half — one scratch arena per
-        // worker *thread*, persistent across batches, so pooled buffers
-        // and cached FFT plans (including the matched filter's twiddle
-        // tables) survive from one `process_batch` to the next.
+        // The embarrassingly parallel front half.
         let fronts = &self.fronts;
-        let analysed: Vec<Result<FrontFrame, SoftLoraError>> = jobs
-            .par_iter()
-            .map(|(gateway, frame_index, delivery)| {
-                softlora_dsp::scratch::with_thread_scratch(|scratch| {
-                    fronts[*gateway].pipeline.front_half_with(delivery, *frame_index, scratch)
-                })
-            })
-            .collect();
+        let analysed = fan_out(&mut self.arenas, jobs, |scratch, (gateway, index, delivery)| {
+            fronts[gateway].pipeline.front_half_with(delivery, index, scratch)
+        });
 
         // Regroup per uplink; stop at the first front-half failure,
         // consuming frame indices through the failing copy.
@@ -1419,41 +1407,27 @@ impl NetworkServer {
         for (i, fronts_of_group) in complete {
             per_shard[metas[i].0].push((i, fronts_of_group));
         }
-        let tasks: Vec<Mutex<(&mut ShardCore, ShardWork)>> = self
-            .tail
-            .shards
-            .iter_mut()
-            .zip(per_shard)
-            .map(|(shard, list)| Mutex::new((shard, list)))
-            .collect();
-        let metas_ref = &metas;
-        let frame_rows_ref = &frame_rows;
-        type ShardCommits = Vec<(usize, Result<CommitOutcome, SoftLoraError>)>;
-        let committed: Vec<(ShardCommits, Option<SoftLoraError>)> = tasks
-            .par_iter()
-            .map(|task| {
-                let mut guard = task.lock().expect("shard task poisoned");
-                let (shard, list) = &mut *guard;
-                let list = std::mem::take(list);
-                let mut out = Vec::with_capacity(list.len());
-                let mut aborted = false;
-                for (i, fronts_of_group) in list {
-                    let (_, seq) = metas_ref[i];
-                    let frames = &frame_rows_ref[i * stride..(i + 1) * stride];
-                    let result = shard.commit(&groups[i], fronts_of_group, seq, frames);
-                    let failed = result.is_err();
-                    out.push((i, result));
-                    if failed {
-                        aborted = true;
-                        break;
-                    }
+        let tasks: Vec<(&mut ShardCore, ShardWork)> =
+            self.tail.shards.iter_mut().zip(per_shard).collect();
+        let (metas, frame_rows) = (&metas, &frame_rows);
+        let committed = fan_out(&mut self.arenas, tasks, |_, (shard, list)| {
+            let mut out = Vec::with_capacity(list.len());
+            let mut aborted = false;
+            for (i, fronts_of_group) in list {
+                let (_, seq) = metas[i];
+                let frames = &frame_rows[i * stride..(i + 1) * stride];
+                let result = shard.commit(&groups[i], fronts_of_group, seq, frames);
+                let failed = result.is_err();
+                out.push((i, result));
+                if failed {
+                    aborted = true;
+                    break;
                 }
-                // One coalesced WAL frame per shard per batch.
-                let seal_error = if aborted { None } else { shard.seal_frame().err() };
-                (out, seal_error)
-            })
-            .collect();
-        drop(tasks);
+            }
+            // One coalesced WAL frame per shard per batch.
+            let seal_error = if aborted { None } else { shard.seal_frame().err() };
+            (out, seal_error)
+        });
         let mut by_group: Vec<Option<Result<CommitOutcome, SoftLoraError>>> =
             groups.iter().map(|_| None).collect();
         let mut seal_failure: Option<SoftLoraError> = None;

@@ -11,7 +11,6 @@
 use crate::SoftLoraError;
 use softlora_dsp::aic::{aic_onset_iq_with, aic_onset_with, power_aic_onset_with};
 use softlora_dsp::envelope::EnvelopeDetector;
-use softlora_dsp::scratch::with_thread_scratch;
 use softlora_dsp::DspScratch;
 use softlora_phy::sdr::IqCapture;
 
@@ -62,26 +61,15 @@ impl PhyTimestamper {
         self.method
     }
 
-    /// Picks the signal onset in an I/Q capture.
+    /// Picks the signal onset in an I/Q capture against a caller-owned
+    /// scratch arena: every picker's intermediates (AIC curves, prefix
+    /// sums, Hilbert buffers) come from the arena, so after warm-up a pick
+    /// allocates nothing.
     ///
     /// # Errors
     ///
     /// Returns [`SoftLoraError::Capture`] when the capture is too short for
     /// the picker.
-    pub fn timestamp(&self, capture: &IqCapture) -> Result<PhyTimestamp, SoftLoraError> {
-        with_thread_scratch(|scratch| self.timestamp_with(capture, scratch))
-    }
-
-    /// [`PhyTimestamper::timestamp`] against a caller-owned scratch arena
-    /// — the per-worker steady-state path: every picker's intermediates
-    /// (AIC curves, prefix sums, Hilbert buffers) come from the arena, so
-    /// after warm-up a pick allocates nothing. The pick itself is
-    /// identical to the allocating API (which delegates here with a
-    /// thread-local arena).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PhyTimestamper::timestamp`].
     pub fn timestamp_with(
         &self,
         capture: &IqCapture,
@@ -116,9 +104,13 @@ impl PhyTimestamper {
     ///
     /// # Errors
     ///
-    /// Same as [`PhyTimestamper::timestamp`].
-    pub fn timestamp_error_s(&self, capture: &IqCapture) -> Result<f64, SoftLoraError> {
-        let ts = self.timestamp(capture)?;
+    /// Same as [`PhyTimestamper::timestamp_with`].
+    pub fn timestamp_error_s(
+        &self,
+        capture: &IqCapture,
+        scratch: &mut DspScratch,
+    ) -> Result<f64, SoftLoraError> {
+        let ts = self.timestamp_with(capture, scratch)?;
         Ok((ts.onset_sample as i64 - capture.true_onset as i64) as f64 * capture.dt())
     }
 }
@@ -152,10 +144,11 @@ mod tests {
     #[test]
     fn aic_error_under_two_microseconds_clean() {
         // Paper Table 2: AIC errors < 2 µs at high SNR.
+        let mut scratch = DspScratch::new();
         for seed in 0..10 {
             let cap = capture(None, seed);
             let ts = PhyTimestamper::new(OnsetMethod::Aic);
-            let err = ts.timestamp_error_s(&cap).unwrap().abs();
+            let err = ts.timestamp_error_s(&cap, &mut scratch).unwrap().abs();
             assert!(err < 2e-6, "seed {seed}: err {err}");
         }
     }
@@ -163,10 +156,11 @@ mod tests {
     #[test]
     fn envelope_error_under_ten_microseconds_clean() {
         // Paper Table 2: envelope errors ~2–10 µs.
+        let mut scratch = DspScratch::new();
         for seed in 0..10 {
             let cap = capture(None, seed);
             let ts = PhyTimestamper::new(OnsetMethod::Envelope);
-            let err = ts.timestamp_error_s(&cap).unwrap().abs();
+            let err = ts.timestamp_error_s(&cap, &mut scratch).unwrap().abs();
             assert!(err < 10e-6, "seed {seed}: err {err}");
         }
     }
@@ -175,11 +169,13 @@ mod tests {
     fn aic_beats_envelope_on_average() {
         let mut aic_sum = 0.0;
         let mut env_sum = 0.0;
+        let mut scratch = DspScratch::new();
+        let aic = PhyTimestamper::new(OnsetMethod::Aic);
+        let env = PhyTimestamper::new(OnsetMethod::Envelope);
         for seed in 0..10 {
             let cap = capture(Some(10.0), 100 + seed);
-            aic_sum += PhyTimestamper::new(OnsetMethod::Aic).timestamp_error_s(&cap).unwrap().abs();
-            env_sum +=
-                PhyTimestamper::new(OnsetMethod::Envelope).timestamp_error_s(&cap).unwrap().abs();
+            aic_sum += aic.timestamp_error_s(&cap, &mut scratch).unwrap().abs();
+            env_sum += env.timestamp_error_s(&cap, &mut scratch).unwrap().abs();
         }
         assert!(aic_sum <= env_sum, "aic {aic_sum} env {env_sum}");
     }
@@ -190,9 +186,12 @@ mod tests {
         let ts = PhyTimestamper::new(OnsetMethod::Aic);
         let mut high_snr_err = 0.0;
         let mut low_snr_err = 0.0;
+        let mut scratch = DspScratch::new();
         for seed in 0..6 {
-            high_snr_err += ts.timestamp_error_s(&capture(Some(13.0), 200 + seed)).unwrap().abs();
-            low_snr_err += ts.timestamp_error_s(&capture(Some(-1.0), 300 + seed)).unwrap().abs();
+            let high = capture(Some(13.0), 200 + seed);
+            let low = capture(Some(-1.0), 300 + seed);
+            high_snr_err += ts.timestamp_error_s(&high, &mut scratch).unwrap().abs();
+            low_snr_err += ts.timestamp_error_s(&low, &mut scratch).unwrap().abs();
         }
         high_snr_err /= 6.0;
         low_snr_err /= 6.0;
@@ -203,7 +202,9 @@ mod tests {
     #[test]
     fn quantisation_bound_matches_sample_rate() {
         let cap = capture(None, 1);
-        let ts = PhyTimestamper::new(OnsetMethod::Aic).timestamp(&cap).unwrap();
+        let ts = PhyTimestamper::new(OnsetMethod::Aic)
+            .timestamp_with(&cap, &mut DspScratch::new())
+            .unwrap();
         assert!((ts.quantisation_bound_s - 0.5 / 2.4e6).abs() < 1e-12);
         assert!((ts.onset_s - ts.onset_sample as f64 / 2.4e6).abs() < 1e-15);
     }
@@ -212,7 +213,7 @@ mod tests {
     fn iq_joint_method_works() {
         let cap = capture(Some(5.0), 7);
         let ts = PhyTimestamper::new(OnsetMethod::AicIq);
-        let err = ts.timestamp_error_s(&cap).unwrap().abs();
+        let err = ts.timestamp_error_s(&cap, &mut DspScratch::new()).unwrap().abs();
         assert!(err < 10e-6, "err {err}");
         assert_eq!(ts.method(), OnsetMethod::AicIq);
     }
@@ -220,10 +221,11 @@ mod tests {
     #[test]
     fn short_capture_is_error() {
         let cap = IqCapture { i: vec![0.0; 8], q: vec![0.0; 8], sample_rate: 2.4e6, true_onset: 0 };
+        let mut scratch = DspScratch::new();
         for m in
             [OnsetMethod::Envelope, OnsetMethod::Aic, OnsetMethod::AicIq, OnsetMethod::PowerAic]
         {
-            assert!(PhyTimestamper::new(m).timestamp(&cap).is_err());
+            assert!(PhyTimestamper::new(m).timestamp_with(&cap, &mut scratch).is_err());
         }
     }
 }

@@ -33,7 +33,6 @@ use crate::replay_detect::{DetectionStats, ReplayDetector, ReplayVerdict};
 use crate::SoftLoraError;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use softlora_dsp::scratch::with_thread_scratch;
 use softlora_dsp::DspScratch;
 use softlora_lorawan::frame::DataFrame;
 use softlora_lorawan::{DeviceKeys, Gateway as LorawanGateway, RxVerdict};
@@ -148,29 +147,13 @@ impl CaptureSynth {
         self.sdr.sample_rate()
     }
 
-    /// Synthesises the capture for one delivery. Deterministic in
-    /// `(gateway seed, frame_index)`; takes `&self` so independent
-    /// deliveries can be captured concurrently.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SoftLoraError::Phy`] when chirp synthesis fails.
-    pub fn synthesise(
-        &self,
-        config: &SoftLoraConfig,
-        delivery: &Delivery,
-        frame_index: u64,
-    ) -> Result<CaptureOutput, SoftLoraError> {
-        with_thread_scratch(|scratch| self.synthesise_with(config, delivery, frame_index, scratch))
-    }
-
-    /// [`CaptureSynth::synthesise`] against a caller-owned scratch arena:
-    /// the waveform staging buffer and the capture's I/Q vectors come
-    /// from the pool, so a warm worker synthesises captures without
-    /// allocating. Return the capture's buffers via
+    /// Synthesises the capture for one delivery against a caller-owned
+    /// scratch arena: the waveform staging buffer and the capture's I/Q
+    /// vectors come from the pool, so a warm worker synthesises captures
+    /// without allocating. Return the capture's buffers via
     /// [`CaptureOutput::recycle`] once the onset/FB stages are done with
-    /// them. Deterministic in `(gateway seed, frame_index)`, exactly as
-    /// the allocating API (which delegates here).
+    /// them. Deterministic in `(gateway seed, frame_index)`; takes `&self`
+    /// so independent deliveries can be captured concurrently.
     ///
     /// # Errors
     ///
@@ -260,22 +243,8 @@ impl OnsetStage {
     }
 
     /// Picks the onset and maps it to the gateway clock, given the true
-    /// arrival time the capture was triggered by.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SoftLoraError::Capture`] when the capture is too short.
-    pub fn pick(
-        &self,
-        capture: &IqCapture,
-        delivery_arrival_s: f64,
-    ) -> Result<OnsetOutput, SoftLoraError> {
-        with_thread_scratch(|scratch| self.pick_with(capture, delivery_arrival_s, scratch))
-    }
-
-    /// [`OnsetStage::pick`] against a caller-owned scratch arena — the
-    /// per-worker steady-state path (identical pick; the picker's
-    /// intermediates reuse pooled buffers).
+    /// arrival time the capture was triggered by. The picker's
+    /// intermediates reuse the caller's arena.
     ///
     /// # Errors
     ///
@@ -330,24 +299,8 @@ impl FbStage {
     }
 
     /// Estimates the FB from the capture, reusing the onset picked by
-    /// [`OnsetStage`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SoftLoraError::Capture`] when the capture does not hold
-    /// two chirps after the onset.
-    pub fn estimate(
-        &self,
-        capture: &IqCapture,
-        onset: &OnsetOutput,
-        snr_db: f64,
-    ) -> Result<FbEstimate, SoftLoraError> {
-        with_thread_scratch(|scratch| self.estimate_with(capture, onset, snr_db, scratch))
-    }
-
-    /// [`FbStage::estimate`] against a caller-owned scratch arena — the
-    /// per-worker steady-state path (identical estimate; the estimator's
-    /// intermediates reuse pooled buffers).
+    /// [`OnsetStage`]. The estimator's intermediates reuse the caller's
+    /// arena.
     ///
     /// # Errors
     ///
@@ -642,8 +595,14 @@ impl Pipeline {
         &self.config
     }
 
-    /// Runs stages 1–4 for one delivery. Pure in `(seed, frame_index)`:
-    /// safe to call concurrently for independent deliveries.
+    /// Runs stages 1–4 for one delivery against a caller-owned scratch
+    /// arena. Pure in `(seed, frame_index)`: safe to call concurrently for
+    /// independent deliveries, one arena per worker. The whole per-frame
+    /// signal chain (capture synthesis, onset pick, FB estimate) runs on
+    /// pooled buffers and cached FFT plans; the ephemeral capture's I/Q
+    /// vectors are recycled back into the arena before returning, so a
+    /// warm worker analyses a delivery without heap allocations on the
+    /// DSP path.
     ///
     /// # Errors
     ///
@@ -653,27 +612,6 @@ impl Pipeline {
     /// after its onset: it comes back as [`FrontFrame::NotReceived`] with
     /// [`ReceptionOutcome::NoSignal`] and counts in
     /// `gateway_unanalysed_copies_total`.
-    pub fn front_half(
-        &self,
-        delivery: &Delivery,
-        frame_index: u64,
-    ) -> Result<FrontFrame, SoftLoraError> {
-        with_thread_scratch(|scratch| self.front_half_with(delivery, frame_index, scratch))
-    }
-
-    /// [`Pipeline::front_half`] against a caller-owned scratch arena —
-    /// the per-worker steady-state path. The whole per-frame signal chain
-    /// (capture synthesis, onset pick, FB estimate) runs on pooled
-    /// buffers and cached FFT plans; the ephemeral capture's I/Q vectors
-    /// are recycled back into the arena before returning, so a warm
-    /// worker analyses a delivery without heap allocations on the DSP
-    /// path. Results are bit-for-bit identical to
-    /// [`Pipeline::front_half`] (which delegates here with a thread-local
-    /// arena).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Pipeline::front_half`].
     pub fn front_half_with(
         &self,
         delivery: &Delivery,

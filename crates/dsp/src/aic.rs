@@ -416,6 +416,7 @@ pub fn burg_prediction_error(x: &[f64], order: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::EnvelopeDetector;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
     use std::f64::consts::PI;
@@ -459,13 +460,14 @@ mod tests {
         // Statistical sanity check mirroring paper Table 2 (AIC < ENV error).
         let mut aic_err = 0i64;
         let mut env_err = 0i64;
+        let mut scratch = DspScratch::new();
         for seed in 0..10u64 {
             let onset = 700;
             let x = onset_trace(2000, onset, 1.0, 0.08, 100 + seed);
             let a = aic_pick(&x, 16).unwrap();
-            let e = crate::envelope::EnvelopeDetector::new().detect(&x).unwrap();
+            let e = EnvelopeDetector::new().detect_onset_with(&x, &mut scratch).unwrap();
             aic_err += (a.onset as i64 - onset as i64).abs();
-            env_err += (e.onset as i64 - onset as i64).abs();
+            env_err += (e as i64 - onset as i64).abs();
         }
         assert!(aic_err <= env_err, "aic {aic_err} vs env {env_err}");
     }

@@ -10,17 +10,6 @@ use crate::hilbert::envelope_with;
 use crate::scratch::DspScratch;
 use crate::DspError;
 
-/// Result of an envelope-ratio onset detection.
-#[derive(Debug, Clone)]
-pub struct EnvelopeOnset {
-    /// Index of the detected onset sample.
-    pub onset: usize,
-    /// The amplitude envelope of the trace.
-    pub envelope: Vec<f64>,
-    /// Ratio curve `env[i] / env[i-1]` (index 0 holds 1.0).
-    pub ratio: Vec<f64>,
-}
-
 /// Configuration for the envelope detector.
 #[derive(Debug, Clone)]
 pub struct EnvelopeDetector {
@@ -54,25 +43,10 @@ impl EnvelopeDetector {
         Self::default()
     }
 
-    /// Detects the signal onset in a real trace (one of the I/Q components).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InputTooShort`] if the trace has fewer than
-    /// `2 * guard + 4` samples.
-    pub fn detect(&self, trace: &[f64]) -> Result<EnvelopeOnset, DspError> {
-        crate::scratch::with_thread_scratch(|scratch| {
-            let mut env = Vec::new();
-            let mut ratio = Vec::new();
-            let onset = self.run(trace, scratch, &mut env, &mut ratio)?;
-            Ok(EnvelopeOnset { onset, envelope: env, ratio })
-        })
-    }
-
-    /// Scratch-backed onset pick: same arithmetic as
-    /// [`EnvelopeDetector::detect`], but every intermediate (envelope,
-    /// ratio curve, prefix sums) lives in the arena and only the onset
-    /// index is returned. Allocation-free once the arena is warm.
+    /// Detects the signal onset in a real trace (one of the I/Q
+    /// components). Every intermediate (envelope, ratio curve, prefix
+    /// sums) lives in the arena and only the onset index is returned, so
+    /// a pick is allocation-free once the arena is warm.
     ///
     /// # Errors
     ///
@@ -91,9 +65,9 @@ impl EnvelopeDetector {
         result
     }
 
-    /// The shared detection core: fills `env`/`ratio` and returns the
-    /// onset. `detect` and `detect_onset_with` differ only in who owns
-    /// the output buffers.
+    /// The detection core: fills `env` with the amplitude envelope and
+    /// `ratio` with the curve `env[i] / trailing mean` (index 0 holds
+    /// 1.0), and returns the onset.
     fn run(
         &self,
         trace: &[f64],
@@ -180,6 +154,19 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
+    /// The onset with the envelope and ratio curves behind it.
+    struct Pick {
+        onset: usize,
+        envelope: Vec<f64>,
+        ratio: Vec<f64>,
+    }
+
+    fn detect(det: &EnvelopeDetector, trace: &[f64]) -> Result<Pick, DspError> {
+        let (mut envelope, mut ratio) = (Vec::new(), Vec::new());
+        let onset = det.run(trace, &mut DspScratch::new(), &mut envelope, &mut ratio)?;
+        Ok(Pick { onset, envelope, ratio })
+    }
+
     /// Silence + Gaussian noise, then a tone starting at `onset`.
     fn trace_with_onset(n: usize, onset: usize, amp: f64, noise: f64, seed: u64) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -200,7 +187,7 @@ mod tests {
         let onset = 700;
         let x = trace_with_onset(2048, onset, 1.0, 0.001, 1);
         let det = EnvelopeDetector::new();
-        let r = det.detect(&x).unwrap();
+        let r = detect(&det, &x).unwrap();
         assert!((r.onset as i64 - onset as i64).abs() <= 8, "got {}", r.onset);
     }
 
@@ -209,7 +196,7 @@ mod tests {
         let onset = 500;
         let x = trace_with_onset(2048, onset, 1.0, 0.05, 2);
         let det = EnvelopeDetector::new();
-        let r = det.detect(&x).unwrap();
+        let r = detect(&det, &x).unwrap();
         assert!((r.onset as i64 - onset as i64).abs() <= 16, "got {}", r.onset);
     }
 
@@ -218,7 +205,7 @@ mod tests {
         let onset = 800;
         let x = trace_with_onset(2048, onset, 2.0, 0.01, 3);
         let det = EnvelopeDetector::new();
-        let r = det.detect(&x).unwrap();
+        let r = detect(&det, &x).unwrap();
         let peak_ratio = r.ratio[r.onset];
         // The ratio at onset should dominate the pre-onset region.
         let pre_max = r.ratio[16..onset - 16].iter().cloned().fold(f64::MIN, f64::max);
@@ -229,20 +216,20 @@ mod tests {
     fn respects_guard_bands() {
         let x = trace_with_onset(256, 10, 1.0, 0.0, 4);
         let det = EnvelopeDetector { guard: 32, smooth: 0, ratio_floor: 1e-3, lag: 1 };
-        let r = det.detect(&x).unwrap();
+        let r = detect(&det, &x).unwrap();
         assert!(r.onset >= 32 && r.onset < 256 - 32);
     }
 
     #[test]
     fn too_short_input_is_error() {
         let det = EnvelopeDetector::new();
-        assert!(matches!(det.detect(&[0.0; 5]), Err(DspError::InputTooShort { .. })));
+        assert!(matches!(detect(&det, &[0.0; 5]), Err(DspError::InputTooShort { .. })));
     }
 
     #[test]
     fn outputs_have_input_length() {
         let x = trace_with_onset(512, 300, 1.0, 0.01, 5);
-        let r = EnvelopeDetector::new().detect(&x).unwrap();
+        let r = detect(&EnvelopeDetector::new(), &x).unwrap();
         assert_eq!(r.envelope.len(), 512);
         assert_eq!(r.ratio.len(), 512);
     }

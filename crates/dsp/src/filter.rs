@@ -85,17 +85,9 @@ pub fn fir_filter_into(signal: &[Complex], taps: &[f64], out: &mut Vec<Complex>)
     }
 }
 
-/// Applies an FIR filter to a real signal (group-delay compensated).
-pub fn fir_filter_real(signal: &[f64], taps: &[f64]) -> Vec<f64> {
-    crate::scratch::with_thread_scratch(|scratch| {
-        let mut out = Vec::new();
-        fir_filter_real_with(signal, taps, scratch, &mut out);
-        out
-    })
-}
-
-/// [`fir_filter_real`] with arena-held temporaries: the complex embedding
-/// and filter output are scratch buffers; `out` receives the real part.
+/// Applies an FIR filter to a real signal (group-delay compensated). The
+/// complex embedding and filter output are scratch buffers; `out`
+/// receives the real part.
 pub fn fir_filter_real_with(
     signal: &[f64],
     taps: &[f64],
@@ -209,7 +201,8 @@ mod tests {
     fn real_wrapper_consistent() {
         let x: Vec<f64> = (0..500).map(|i| (0.05 * i as f64).sin()).collect();
         let taps = lowpass_fir(0.2, 31, WindowKind::Hamming).unwrap();
-        let a = fir_filter_real(&x, &taps);
+        let mut a = Vec::new();
+        fir_filter_real_with(&x, &taps, &mut crate::scratch::DspScratch::new(), &mut a);
         let z: Vec<Complex> = x.iter().map(|&v| Complex::new(v, 0.0)).collect();
         let b = fir_filter(&z, &taps);
         for (u, v) in a.iter().zip(b.iter()) {

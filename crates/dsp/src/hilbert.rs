@@ -13,25 +13,12 @@ use crate::DspError;
 
 /// Computes the analytic signal of a real trace via the FFT method.
 ///
-/// The input is zero-padded to a power of two internally; the returned
-/// vector is truncated back to the input length. For input `x`, the result
-/// is `x + i * H(x)` where `H` is the Hilbert transform.
-///
-/// # Errors
-///
-/// Returns [`DspError::InputTooShort`] for inputs shorter than 2 samples.
-pub fn analytic_signal(x: &[f64]) -> Result<Vec<Complex>, DspError> {
-    crate::scratch::with_thread_scratch(|scratch| {
-        let mut out = Vec::new();
-        analytic_signal_with(x, scratch, &mut out)?;
-        Ok(out)
-    })
-}
-
-/// Scratch-backed [`analytic_signal`]: the transform runs through the
-/// arena's planner and `out` is cleared and refilled (its capacity is
-/// reused across frames). Allocation-free once `out` and the arena are
-/// warm.
+/// The input is zero-padded to a power of two internally; `out` is
+/// truncated back to the input length. For input `x`, the result is
+/// `x + i * H(x)` where `H` is the Hilbert transform. The transform runs
+/// through the arena's planner and `out` is cleared and refilled (its
+/// capacity is reused across frames), so this is allocation-free once
+/// `out` and the arena are warm.
 ///
 /// # Errors
 ///
@@ -67,36 +54,25 @@ pub fn analytic_signal_with(
     Ok(())
 }
 
-/// Amplitude envelope of a real trace: `|analytic_signal(x)|`.
+/// Amplitude envelope of a real trace, `|analytic signal of x|`: `out`
+/// is cleared and refilled; temporaries come from the arena.
 ///
 /// # Errors
 ///
 /// Returns [`DspError::InputTooShort`] for inputs shorter than 2 samples.
 ///
 /// ```
-/// use softlora_dsp::hilbert::envelope;
+/// use softlora_dsp::hilbert::envelope_with;
+/// use softlora_dsp::DspScratch;
 /// // Envelope of a pure tone is (approximately) its constant amplitude.
 /// let x: Vec<f64> = (0..512).map(|i| 3.0 * (0.3 * i as f64).sin()).collect();
-/// let env = envelope(&x)?;
+/// let mut env = Vec::new();
+/// envelope_with(&x, &mut DspScratch::new(), &mut env)?;
 /// let mid = &env[64..448];
 /// let avg: f64 = mid.iter().sum::<f64>() / mid.len() as f64;
 /// assert!((avg - 3.0).abs() < 0.05);
 /// # Ok::<(), softlora_dsp::DspError>(())
 /// ```
-pub fn envelope(x: &[f64]) -> Result<Vec<f64>, DspError> {
-    crate::scratch::with_thread_scratch(|scratch| {
-        let mut out = Vec::new();
-        envelope_with(x, scratch, &mut out)?;
-        Ok(out)
-    })
-}
-
-/// Scratch-backed [`envelope`]: `out` is cleared and refilled with the
-/// amplitude envelope; temporaries come from the arena.
-///
-/// # Errors
-///
-/// Returns [`DspError::InputTooShort`] for inputs shorter than 2 samples.
 pub fn envelope_with(
     x: &[f64],
     scratch: &mut DspScratch,
@@ -116,14 +92,32 @@ pub fn envelope_with(
 
 /// Instantaneous phase of a real trace, i.e. the argument of the analytic
 /// signal, in `(-pi, pi]` per sample (not unwrapped).
-pub fn instantaneous_phase(x: &[f64]) -> Result<Vec<f64>, DspError> {
-    Ok(analytic_signal(x)?.into_iter().map(Complex::arg).collect())
+///
+/// # Errors
+///
+/// Returns [`DspError::InputTooShort`] for inputs shorter than 2 samples.
+pub fn instantaneous_phase(x: &[f64], scratch: &mut DspScratch) -> Result<Vec<f64>, DspError> {
+    let mut analytic = scratch.take_complex_empty();
+    let phase = analytic_signal_with(x, scratch, &mut analytic)
+        .map(|()| analytic.iter().map(|z| z.arg()).collect());
+    scratch.put_complex(analytic);
+    phase
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::f64::consts::PI;
+
+    fn analytic_signal(x: &[f64]) -> Result<Vec<Complex>, DspError> {
+        let mut out = Vec::new();
+        analytic_signal_with(x, &mut DspScratch::new(), &mut out).map(|()| out)
+    }
+
+    fn envelope(x: &[f64]) -> Result<Vec<f64>, DspError> {
+        let mut out = Vec::new();
+        envelope_with(x, &mut DspScratch::new(), &mut out).map(|()| out)
+    }
 
     #[test]
     fn analytic_signal_real_part_is_input() {
@@ -185,7 +179,7 @@ mod tests {
         let n = 512;
         let k = 10.0;
         let x: Vec<f64> = (0..n).map(|i| (2.0 * PI * k * i as f64 / n as f64).cos()).collect();
-        let ph = instantaneous_phase(&x).unwrap();
+        let ph = instantaneous_phase(&x, &mut DspScratch::new()).unwrap();
         // Phase increment per sample ~ 2*pi*k/n.
         let want = 2.0 * PI * k / n as f64;
         let mut ok = 0;

@@ -23,15 +23,32 @@
 //! way every time, each `take` resolves to a buffer whose capacity
 //! already fits — which is what makes the steady state allocation-free
 //! (pinned by the counting-allocator test in `softlora-bench`).
+//!
+//! # Ownership
+//!
+//! Every arena has exactly one owner, and it lives as long as that owner:
+//!
+//! * a flowgraph front block owns one and uses it for every copy it
+//!   analyses;
+//! * `SoftLoraGateway` and `NetworkServer` each own one arena per unit of
+//!   the host's available parallelism, built with them. `process_batch`
+//!   hands worker `w` of its fan-out `&mut arenas[w]` for the whole call,
+//!   and `SoftLoraGateway::process` uses the first;
+//! * tests, benches and the figure experiments make one and reuse it
+//!   across their loops.
+//!
+//! So FFT plans and pooled buffers outlive a batch: a warm second
+//! `process_batch` builds no plan (pinned by `batch_plan_reuse` in
+//! `softlora-bench`). No arena lives in a thread-local: every routine of
+//! the signal path takes the caller's `&mut DspScratch`.
 
 use crate::complex::Complex;
 use crate::fft::FftPlanner;
-use std::cell::RefCell;
 
 /// A per-worker arena: an FFT planner plus pooled complex/real buffers.
 ///
-/// Not `Sync` by design — every worker (rayon `map_init` slot, flowgraph
-/// block, sequential gateway) owns its own instance.
+/// Each arena has one owner (see the module docs); a worker borrows it
+/// mutably for as long as it runs.
 #[derive(Debug, Default)]
 pub struct DspScratch {
     planner: FftPlanner,
@@ -109,22 +126,6 @@ impl DspScratch {
     }
 }
 
-thread_local! {
-    static THREAD_SCRATCH: RefCell<DspScratch> = RefCell::new(DspScratch::new());
-}
-
-/// Runs `f` with the calling thread's shared [`DspScratch`].
-///
-/// This is the delegation point for the original allocating APIs
-/// (`Demodulator::demodulate`, `PhyTimestamper::timestamp`, ...): they
-/// borrow the thread's arena so even legacy callers reuse buffers and
-/// twiddle tables. Do not re-enter (`f` must not call another
-/// `with_thread_scratch`-based API); scratch-aware code should thread an
-/// explicit `&mut DspScratch` instead.
-pub fn with_thread_scratch<R>(f: impl FnOnce(&mut DspScratch) -> R) -> R {
-    THREAD_SCRATCH.with(|s| f(&mut s.borrow_mut()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,23 +172,6 @@ mod tests {
         s.put_complex(Vec::new());
         s.put_real(Vec::new());
         assert_eq!(s.pooled(), (0, 0));
-    }
-
-    #[test]
-    fn thread_scratch_is_reused() {
-        let first = with_thread_scratch(|s| {
-            let b = s.take_complex(64);
-            let p = b.as_ptr();
-            s.put_complex(b);
-            p
-        });
-        let second = with_thread_scratch(|s| {
-            let b = s.take_complex(64);
-            let p = b.as_ptr();
-            s.put_complex(b);
-            p
-        });
-        assert_eq!(first, second);
     }
 
     #[test]

@@ -111,24 +111,16 @@ impl Spectrogram {
     }
 }
 
-/// Computes the spectrogram of a complex baseband signal.
+/// Computes the spectrogram of a complex baseband signal. The windowed
+/// segment and its transform reuse one scratch buffer across frames, and
+/// all frames share one cached FFT plan; only the returned power matrix
+/// allocates.
 ///
 /// # Errors
 ///
 /// * [`DspError::InvalidWindow`] if `window_len` is zero or the overlap is
 ///   not smaller than the window.
 /// * [`DspError::InputTooShort`] if the signal is shorter than one window.
-pub fn stft(signal: &[Complex], cfg: &StftConfig) -> Result<Spectrogram, DspError> {
-    crate::scratch::with_thread_scratch(|scratch| stft_with(signal, cfg, scratch))
-}
-
-/// [`stft`] with arena-held temporaries: the windowed segment and its
-/// transform reuse one scratch buffer across frames, and all frames share
-/// one cached FFT plan. Only the returned power matrix allocates.
-///
-/// # Errors
-///
-/// Same as [`stft`].
 pub fn stft_with(
     signal: &[Complex],
     cfg: &StftConfig,
@@ -178,7 +170,7 @@ mod tests {
         let sig = tone(2048, 1000.0, fs);
         let cfg =
             StftConfig { window_len: 256, overlap: 128, kind: WindowKind::Hann, sample_rate: fs };
-        let sg = stft(&sig, &cfg).unwrap();
+        let sg = stft_with(&sig, &cfg, &mut DspScratch::new()).unwrap();
         for f in sg.ridge() {
             assert!((f - 1000.0).abs() < sg.freq_resolution(), "ridge {f}");
         }
@@ -190,7 +182,7 @@ mod tests {
         let sig = tone(1024, -1500.0, fs);
         let cfg =
             StftConfig { window_len: 256, overlap: 0, kind: WindowKind::Hann, sample_rate: fs };
-        let sg = stft(&sig, &cfg).unwrap();
+        let sg = stft_with(&sig, &cfg, &mut DspScratch::new()).unwrap();
         for f in sg.ridge() {
             assert!((f + 1500.0).abs() < 2.0 * sg.freq_resolution());
         }
@@ -210,7 +202,7 @@ mod tests {
             .collect();
         let cfg =
             StftConfig { window_len: 256, overlap: 128, kind: WindowKind::Hann, sample_rate: fs };
-        let sg = stft(&sig, &cfg).unwrap();
+        let sg = stft_with(&sig, &cfg, &mut DspScratch::new()).unwrap();
         let ridge = sg.ridge();
         // Compare early vs late thirds; monotone increase overall.
         let early: f64 = ridge[..ridge.len() / 3].iter().sum::<f64>() / (ridge.len() / 3) as f64;
@@ -228,7 +220,7 @@ mod tests {
         let n = (1.024e-3 * fs) as usize;
         let sig = tone(n, 1000.0, fs);
         let cfg = StftConfig::paper_fig6(7, fs);
-        let sg = stft(&sig, &cfg).unwrap();
+        let sg = stft_with(&sig, &cfg, &mut DspScratch::new()).unwrap();
         assert!((19..=22).contains(&sg.frames()), "frames {}", sg.frames());
         // Time resolution ≈ 50 µs as the paper states.
         assert!((sg.time_resolution() - 46.7e-6).abs() < 5e-6);
@@ -239,13 +231,19 @@ mod tests {
         let sig = tone(64, 100.0, 1000.0);
         let bad_overlap =
             StftConfig { window_len: 32, overlap: 32, kind: WindowKind::Rect, sample_rate: 1000.0 };
-        assert!(matches!(stft(&sig, &bad_overlap), Err(DspError::InvalidWindow { .. })));
+        assert!(matches!(
+            stft_with(&sig, &bad_overlap, &mut DspScratch::new()),
+            Err(DspError::InvalidWindow { .. })
+        ));
         let too_long =
             StftConfig { window_len: 128, overlap: 0, kind: WindowKind::Rect, sample_rate: 1000.0 };
-        assert!(matches!(stft(&sig, &too_long), Err(DspError::InputTooShort { .. })));
+        assert!(matches!(
+            stft_with(&sig, &too_long, &mut DspScratch::new()),
+            Err(DspError::InputTooShort { .. })
+        ));
         let zero =
             StftConfig { window_len: 0, overlap: 0, kind: WindowKind::Rect, sample_rate: 1000.0 };
-        assert!(stft(&sig, &zero).is_err());
+        assert!(stft_with(&sig, &zero, &mut DspScratch::new()).is_err());
     }
 
     #[test]
@@ -257,7 +255,7 @@ mod tests {
             kind: WindowKind::Rect,
             sample_rate: 1000.0,
         };
-        let sg = stft(&sig, &cfg).unwrap();
+        let sg = stft_with(&sig, &cfg, &mut DspScratch::new()).unwrap();
         assert_eq!(sg.frame_time(0), 0.0);
         assert!((sg.frame_time(2) - 0.1).abs() < 1e-12);
     }

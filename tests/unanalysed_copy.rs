@@ -5,6 +5,7 @@
 //! the sequential, batch, network-server and streaming paths agree on
 //! every verdict.
 
+use softlora_repro::dsp::DspScratch;
 use softlora_repro::lorawan::{ClassADevice, DeviceConfig};
 use softlora_repro::phy::rn2483::ReceptionOutcome;
 use softlora_repro::phy::{PhyConfig, SpreadingFactor};
@@ -26,11 +27,12 @@ fn floor_seed() -> u64 {
     static SEED: OnceLock<u64> = OnceLock::new();
     *SEED.get_or_init(|| {
         let floor = uplinks(&[&[FLOOR_SNR_DB]]).concat().remove(0);
+        let mut scratch = DspScratch::new();
         (0..512)
             .find(|&seed| {
                 let gateway = SoftLoraGateway::builder(phy()).seed(seed).build();
                 matches!(
-                    gateway.pipeline().front_half(&floor, 0),
+                    gateway.pipeline().front_half_with(&floor, 0, &mut scratch),
                     Ok(FrontFrame::NotReceived { outcome: ReceptionOutcome::NoSignal, .. })
                 )
             })
