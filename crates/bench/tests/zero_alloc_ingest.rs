@@ -70,7 +70,7 @@ fn steady_state_ingest_to_commit_is_allocation_free() {
         batch_size: registry.histogram_with("test_zero_alloc_batch_size", &[]),
         stalls: registry.counter("test_zero_alloc_stalls"),
     };
-    let mut pipe = CommitPipe::spawn(NullSink { committed: 0 }, 64, false, telemetry);
+    let mut pipe = CommitPipe::spawn(NullSink { committed: 0 }, false, telemetry);
     let mut reassembler = Reassembler::new(Duration::from_secs(60), 1024);
     let mut slot = Some(FleetDelivery {
         gateway: 0,

@@ -2206,6 +2206,62 @@ mod tests {
     }
 
     #[test]
+    fn verdicts_do_not_depend_on_arena_count() {
+        // The same attacked multi-device, multi-gateway stream through
+        // servers owning 1, 2 and 4 DSP arenas: the cursor fan-out hands
+        // copies to arenas in a different order every call, and none of
+        // that may reach a verdict or a statistic.
+        let build = |arenas: usize| {
+            let mut b = NetworkServer::builder(phy()).adc_quantisation(false).shards(2);
+            for g in 0..3 {
+                b = b.gateway(40 + g);
+            }
+            let mut devs = Vec::new();
+            for k in 0..4u32 {
+                let cfg = DeviceConfig::new(0x2601_0300 + k, phy());
+                b = b.provision(cfg.dev_addr, cfg.keys.clone());
+                devs.push(ClassADevice::new(cfg));
+            }
+            let mut srv = b.build();
+            srv.arenas = (0..arenas).map(|_| DspScratch::new()).collect();
+            (devs, srv)
+        };
+        let (mut devs, _) = build(1);
+        let mut groups = Vec::new();
+        for round in 0..5 {
+            for (j, dev) in devs.iter_mut().enumerate() {
+                let t = 100.0 + 300.0 * round as f64 + 40.0 * j as f64;
+                // From round 3 on, device 0's uplinks carry the replay
+                // artefact; gateway 2 hears every copy below the floor.
+                let bias = if round >= 3 && j == 0 { -22_700.0 } else { -22_000.0 };
+                let d = delivery(dev, t, bias, 9.0);
+                let copies = (0..3)
+                    .map(|g| {
+                        let mut c = d.clone();
+                        c.snr_db = [6.0, 9.0, -15.0][g];
+                        FleetDelivery { gateway: g, delivery: c }
+                    })
+                    .collect();
+                groups.push(UplinkDeliveries { uplink: groups.len() as u64, ..group(copies) });
+            }
+        }
+        let run = |arenas: usize| {
+            let (_, mut srv) = build(arenas);
+            // Two calls, so the second meets arenas warmed by the first.
+            let (head, tail) = groups.split_at(7);
+            let mut verdicts = srv.process_batch(head).unwrap();
+            verdicts.extend(srv.process_batch(tail).unwrap());
+            (verdicts, srv.stats(), srv.detection_stats())
+        };
+        let one = run(1);
+        assert!(one.0.iter().any(|v| v.verdict.is_replay_detected()), "{:?}", one.0);
+        assert!(one.0.iter().any(ServerVerdict::is_accepted));
+        for arenas in [2, 4] {
+            assert_eq!(run(arenas), one, "{arenas} arenas");
+        }
+    }
+
+    #[test]
     fn eviction_is_reported_to_observers() {
         #[derive(Default)]
         struct Evictions(Vec<(u64, u32, usize)>);

@@ -16,10 +16,18 @@
 //!   tests), publishing the committed watermark back through a shared
 //!   atomic so acks can carry it.
 //!
-//! Backpressure is explicit: a full handoff ring stalls the poll thread
-//! in a bounded wait (counted, never unbounded memory), and a commit
-//! failure abandons the ring so the poll thread's offers degrade to
-//! counted drops instead of wedging the socket loop. Committed groups
+//! Admission is two commit batches deep. The worker commits at most
+//! [`COMMIT_BATCH`] groups per call, and the ring holds
+//! [`HANDOFF_CAPACITY`] = 2 × [`COMMIT_BATCH`], so at most
+//! `HANDOFF_CAPACITY + COMMIT_BATCH` groups are offered but not yet
+//! committed. By Little's law a group then waits at most that many
+//! groups divided by the commit throughput between handoff and commit:
+//! ≈ 64 ms at 3000 groups/s. A full ring stalls the poll thread, which
+//! parks until the worker frees a batch (counted, never unbounded
+//! memory), so the excess waits in the senders' unacked windows instead
+//! of in the server. A commit failure abandons the ring so the poll
+//! thread's offers degrade to counted drops instead of wedging the socket
+//! loop. Committed groups
 //! flow back through a second **recycle ring**, so the warm path —
 //! stash, drain, hand off, commit, recycle — allocates nothing per
 //! group (pinned by `crates/bench/tests/zero_alloc_ingest.rs`).
@@ -37,21 +45,24 @@ use softlora_sim::{FleetDelivery, UplinkDeliveries};
 use softlora_telemetry::{Counter, Gauge, Histogram};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread;
+use std::sync::{Arc, Mutex};
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
+/// Most groups one commit batch holds: the worker pops at most this many
+/// per [`CommitSink::commit`], and the listener releases groups to the
+/// worker as soon as this many are ready.
+pub const COMMIT_BATCH: usize = 64;
+
 /// Handoff/recycle ring capacity (groups in flight between the poll
-/// thread and the commit worker).
-pub const HANDOFF_CAPACITY: usize = 1024;
+/// thread and the commit worker): two commit batches, one being filled
+/// while the worker commits the other.
+pub const HANDOFF_CAPACITY: usize = 2 * COMMIT_BATCH;
 
-/// How long the commit worker sleeps when the handoff ring is empty;
-/// bounds the wake race exactly like the scheduler's park timeout.
+/// How long either side of the pipe parks before re-checking the ring:
+/// the commit worker on an empty ring, the poll thread on a full one.
+/// Bounds the wake race exactly like the scheduler's park timeout.
 const WORKER_PARK: Duration = Duration::from_micros(200);
-
-/// How long the poll thread sleeps per bounded-stall tick when the
-/// handoff ring is full.
-const STALL_TICK: Duration = Duration::from_micros(100);
 
 /// Wire metadata of one uplink copy, already decoded out of its
 /// `PUSH_DATA` frame.
@@ -471,30 +482,32 @@ pub struct CommitPipe {
     tx: Producer<UplinkDeliveries, HANDOFF_CAPACITY>,
     recycled: Consumer<UplinkDeliveries, HANDOFF_CAPACITY>,
     worker: thread::JoinHandle<Result<CommitLog, NetError>>,
-    worker_thread: thread::Thread,
+    worker_thread: Thread,
     /// One past the highest committed uplink id; 0 = nothing committed.
     committed: Arc<AtomicU64>,
+    /// The poll thread, while it is parked on a full ring; the worker
+    /// takes and unparks it after each pop.
+    stalled: Arc<Mutex<Option<Thread>>>,
     queue_depth: Gauge,
     stalls: Counter,
 }
 
 impl CommitPipe {
-    /// Spawns the commit worker around `sink`.
-    ///
-    /// `max_batch_groups` bounds one commit batch; `record_verdicts`
-    /// keeps `(uplink, verdict)` pairs in the final [`CommitLog`].
+    /// Spawns the commit worker around `sink`; it commits batches of at
+    /// most [`COMMIT_BATCH`] groups. `record_verdicts` keeps
+    /// `(uplink, verdict)` pairs in the final [`CommitLog`].
     pub fn spawn<S: CommitSink + 'static>(
         sink: S,
-        max_batch_groups: usize,
         record_verdicts: bool,
         telemetry: CommitTelemetry,
     ) -> Self {
         let (tx, rx) = channel::<UplinkDeliveries, HANDOFF_CAPACITY>();
         let (recycle_tx, recycled) = channel::<UplinkDeliveries, HANDOFF_CAPACITY>();
         let committed = Arc::new(AtomicU64::new(0));
+        let stalled = Arc::new(Mutex::new(None));
         let queue_depth = telemetry.queue_depth.clone();
         let stalls = telemetry.stalls.clone();
-        let worker_committed = Arc::clone(&committed);
+        let (worker_committed, worker_stalled) = (Arc::clone(&committed), Arc::clone(&stalled));
         let worker = thread::Builder::new()
             .name("softlora-commit".into())
             .spawn(move || {
@@ -503,14 +516,14 @@ impl CommitPipe {
                     recycle_tx,
                     sink,
                     worker_committed,
-                    max_batch_groups.max(1),
+                    worker_stalled,
                     record_verdicts,
                     telemetry,
                 )
             })
             .expect("spawn commit worker");
         let worker_thread = worker.thread().clone();
-        CommitPipe { tx, recycled, worker, worker_thread, committed, queue_depth, stalls }
+        CommitPipe { tx, recycled, worker, worker_thread, committed, stalled, queue_depth, stalls }
     }
 
     /// One past the highest committed uplink id (0 = nothing yet) — what
@@ -519,27 +532,23 @@ impl CommitPipe {
         self.committed.load(Ordering::Acquire)
     }
 
-    /// Hands one released group to the commit worker. A full ring stalls
-    /// in bounded ticks (counted in `net_commit_stalls_total`); if the
-    /// worker died on a commit error the ring is abandoned and the group
-    /// is dropped — the error itself surfaces at
-    /// [`CommitPipe::finish`].
+    /// Hands one released group to the commit worker. On a full ring the
+    /// calling thread parks until the worker pops its next batch (counted
+    /// once in `net_commit_stalls_total`); if the worker died on a commit
+    /// error the ring is abandoned and the group is dropped — the error
+    /// itself surfaces at [`CommitPipe::finish`].
     pub fn offer(&mut self, group: UplinkDeliveries) {
-        let mut item = group;
-        let mut stalled = false;
-        loop {
-            match self.tx.push(item) {
-                Ok(()) => break,
-                Err(back) => {
-                    item = back;
-                    if !stalled {
-                        self.stalls.inc();
-                        stalled = true;
-                    }
-                    self.worker_thread.unpark();
-                    thread::sleep(STALL_TICK);
-                }
+        if let Err(mut item) = self.tx.push(group) {
+            self.stalls.inc();
+            // Register before the retry: a pop that the retry misses
+            // happens after the registration, so it unparks this thread.
+            *self.stalled.lock().expect(STALLED_POISONED) = Some(thread::current());
+            self.worker_thread.unpark();
+            while let Err(back) = self.tx.push(item) {
+                item = back;
+                thread::park_timeout(WORKER_PARK);
             }
+            self.stalled.lock().expect(STALLED_POISONED).take();
         }
         self.queue_depth.set(self.tx.len() as f64);
     }
@@ -580,28 +589,35 @@ impl std::fmt::Debug for CommitPipe {
     }
 }
 
-/// The dedicated commit thread: pop a batch, drive the sink, publish the
-/// watermark, recycle the shells.
+/// A lock on the stalled-thread slot is held only to store or take a
+/// handle, so poisoning means a bug in this module.
+const STALLED_POISONED: &str = "commit pipe stall slot poisoned";
+
+/// The dedicated commit thread: pop a batch, wake a stalled poll thread,
+/// drive the sink, publish the watermark, recycle the shells.
 fn commit_worker<S: CommitSink>(
     mut rx: Consumer<UplinkDeliveries, HANDOFF_CAPACITY>,
     mut recycle_tx: Producer<UplinkDeliveries, HANDOFF_CAPACITY>,
     mut sink: S,
     committed: Arc<AtomicU64>,
-    max_batch: usize,
+    stalled: Arc<Mutex<Option<Thread>>>,
     record_verdicts: bool,
     telemetry: CommitTelemetry,
 ) -> Result<CommitLog, NetError> {
-    let mut batch: Vec<UplinkDeliveries> = Vec::with_capacity(max_batch);
+    let mut batch: Vec<UplinkDeliveries> = Vec::with_capacity(COMMIT_BATCH);
     let mut verdicts: Vec<ServerVerdict> = Vec::new();
     let mut log = CommitLog::default();
     loop {
         batch.clear();
-        if rx.pop_batch(&mut batch, max_batch) == 0 {
+        if rx.pop_batch(&mut batch, COMMIT_BATCH) == 0 {
             if rx.is_finished() {
                 break;
             }
             thread::park_timeout(WORKER_PARK);
             continue;
+        }
+        if let Some(poll) = stalled.lock().expect(STALLED_POISONED).take() {
+            poll.unpark();
         }
         telemetry.queue_depth.set(rx.len() as f64);
         verdicts.clear();
@@ -839,7 +855,6 @@ mod tests {
     fn pipe_commits_in_order_and_publishes_watermark() {
         let mut pipe = CommitPipe::spawn(
             CountingSink { committed: Vec::new(), fail_at: None },
-            64,
             false,
             telemetry(),
         );
@@ -863,7 +878,6 @@ mod tests {
     fn pipe_surfaces_commit_failure_without_wedging_offers() {
         let mut pipe = CommitPipe::spawn(
             CountingSink { committed: Vec::new(), fail_at: Some(5) },
-            8,
             false,
             telemetry(),
         );
@@ -874,5 +888,49 @@ mod tests {
         }
         let err = pipe.finish().expect_err("sink failure surfaces");
         assert!(matches!(err, NetError::TooShort { .. }));
+    }
+
+    /// A stub sink slower than the offers: it sleeps per group and
+    /// records every batch's size.
+    struct SlowSink {
+        per_group: Duration,
+        batch_sizes: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl CommitSink for SlowSink {
+        fn commit(
+            &mut self,
+            groups: &[UplinkDeliveries],
+            _verdicts: &mut Vec<ServerVerdict>,
+        ) -> Result<(), NetError> {
+            thread::sleep(self.per_group * groups.len() as u32);
+            self.batch_sizes.lock().unwrap().push(groups.len());
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn admission_is_bounded_by_two_commit_batches() {
+        let batch_sizes = Arc::new(Mutex::new(Vec::new()));
+        let sink = SlowSink {
+            per_group: Duration::from_micros(100),
+            batch_sizes: Arc::clone(&batch_sizes),
+        };
+        let mut pipe = CommitPipe::spawn(sink, false, telemetry());
+        let total = 4 * HANDOFF_CAPACITY as u64;
+        let mut peak_in_flight = 0;
+        for uplink in 0..total {
+            pipe.offer(group(uplink));
+            peak_in_flight = peak_in_flight.max(uplink + 1 - pipe.committed());
+        }
+        pipe.finish().expect("no commit failure");
+        // The ring holds two batches and the worker one more, popped but
+        // not yet committed; nothing else can be in flight.
+        let bound = (HANDOFF_CAPACITY + COMMIT_BATCH) as u64;
+        assert!(peak_in_flight <= bound, "{peak_in_flight} groups in flight, bound {bound}");
+        assert!(peak_in_flight > HANDOFF_CAPACITY as u64, "the sink never fell behind");
+        let batch_sizes = batch_sizes.lock().unwrap();
+        assert!(batch_sizes.iter().all(|&n| n <= COMMIT_BATCH), "{batch_sizes:?}");
+        assert_eq!(batch_sizes.iter().sum::<usize>() as u64, total);
     }
 }

@@ -19,11 +19,20 @@
 //! longer includes the sharded commit. Acks carry the worker's
 //! published commit watermark (`committed`, protocol version 3), which
 //! is how a gateway — or the load generator measuring end-to-end commit
-//! latency — observes the pipeline catching up. Backpressure is
-//! explicit: a full handoff ring stalls the poll thread in bounded,
-//! counted ticks (`net_commit_stalls_total`) rather than growing
-//! memory, and shutdown drains both the reassembly window and the
-//! handoff queue before the report is assembled.
+//! latency — observes the pipeline catching up.
+//!
+//! Admission is two commit batches deep, so latency is bounded by
+//! design. The poll thread releases groups as soon as one batch
+//! ([`crate::ingest::COMMIT_BATCH`], 64 groups) is ready, the handoff
+//! ring holds two batches, and the worker commits one at a time: at most
+//! 192 groups are between handoff and commit, and a group waits there
+//! at most that many divided by the commit throughput (≈ 64 ms at 3000
+//! groups/s). A full ring parks the poll thread, counted in
+//! `net_commit_stalls_total`, until the worker frees a batch. Meanwhile
+//! no datagram is read or acked, so the excess waits in the senders'
+//! unacked windows rather than in server memory. Shutdown drains both
+//! the reassembly window and the handoff queue before the report is
+//! assembled.
 //!
 //! Wire counters live in the process-wide [`softlora_telemetry`]
 //! registry as `net_*` series (labeled with a per-listener instance id),
@@ -60,7 +69,9 @@
 //! sequence tracking); malformed datagrams are counted and dropped —
 //! the listener never panics on wire input.
 
-use crate::ingest::{CommitPipe, CommitTelemetry, CopyHeader, Reassembler, ServerSink, Stash};
+use crate::ingest::{
+    CommitPipe, CommitTelemetry, CopyHeader, Reassembler, ServerSink, Stash, COMMIT_BATCH,
+};
 use crate::protocol::{
     decode_frame, encode_frame_into, Frame, NetCounters, PushData, ServerRole, WireRuntime,
     WireStats, WireUplink,
@@ -83,12 +94,9 @@ pub struct NetServerConfig {
     /// Address to bind the ctrl socket on (port 0 = ephemeral).
     pub ctrl_bind: SocketAddr,
     /// Handoff cadence: ready groups are released to the commit worker at
-    /// least this often (the recv timeout, so also the ctrl poll period).
+    /// least this often, and as soon as [`COMMIT_BATCH`] are ready. It is
+    /// the recv timeout, so also the ctrl poll period.
     pub poll_interval: Duration,
-    /// Bound on one commit batch: the worker pops at most this many
-    /// groups per `process_batch` call, and the poll thread releases
-    /// early once this many are ready.
-    pub max_batch_groups: usize,
     /// Bound on the reassembly buffer: when a new uplink id needs a
     /// window position past this many pending groups, the oldest are
     /// force-released even if incomplete. Ids more than twice this bound
@@ -111,7 +119,6 @@ impl Default for NetServerConfig {
             data_bind: "127.0.0.1:0".parse().expect("loopback literal"),
             ctrl_bind: "127.0.0.1:0".parse().expect("loopback literal"),
             poll_interval: Duration::from_millis(5),
-            max_batch_groups: 512,
             max_pending_groups: 1 << 16,
             straggler_timeout: Duration::from_secs(2),
             record_verdicts: true,
@@ -334,7 +341,6 @@ impl NetServer {
         let server = Arc::new(Mutex::new(server));
         let pipe = CommitPipe::spawn(
             ServerSink(Arc::clone(&server)),
-            config.max_batch_groups,
             config.record_verdicts,
             metrics.commit_telemetry(),
         );
@@ -421,7 +427,7 @@ impl NetServer {
             }
 
             let ready = self.reassembler.ready_count(self.barrier());
-            if ready >= self.config.max_batch_groups
+            if ready >= COMMIT_BATCH
                 || (last_flush.elapsed() >= self.config.poll_interval && ready > 0)
                 || self.reassembler.spilled_len() > 0
             {
