@@ -12,7 +12,7 @@
 //! comparisons as a CI artifact (`BENCH_dsp.json`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use softlora_dsp::aic::{aic_onset_with, aic_pick, power_aic_onset_with, power_aic_pick};
+use softlora_dsp::aic::{aic_onset_with, aic_pick, power_aic_onset_with};
 use softlora_dsp::envelope::EnvelopeDetector;
 use softlora_dsp::fft::{fft_forward, fft_in_place, FftPlan};
 use softlora_dsp::hilbert::envelope_with;
@@ -168,9 +168,6 @@ fn bench_pickers(c: &mut Criterion) {
     group.bench_function("aic_onset_scratch", |b| {
         let mut scratch = DspScratch::new();
         b.iter(|| aic_onset_with(black_box(&i), 16, &mut scratch))
-    });
-    group.bench_function("power_aic_pick", |b| {
-        b.iter(|| power_aic_pick(black_box(&i), black_box(&q), 16))
     });
     group.bench_function("power_aic_onset_scratch", |b| {
         let mut scratch = DspScratch::new();

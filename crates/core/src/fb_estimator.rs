@@ -15,7 +15,7 @@
 //! * [`FbEstimator::matched_filter_with`] — an algebraically equivalent but much
 //!   faster solver for the same least-squares problem: for fixed `δ` the
 //!   optimal `θ` is closed-form, reducing the search to maximising
-//!   `|⟨z, chirp_δ⟩|` over `δ` alone — a dechirped FFT plus a golden-section
+//!   `|⟨z, chirp_δ⟩|` over `δ` alone — a dechirped FFT plus a Newton
 //!   polish. Used as the production path on the gateway.
 //!
 //! The matched filter works at the search band's rate, not the capture
@@ -27,14 +27,20 @@
 //! (`fs / 2D ≥ 4·max(|lo|, |hi|)`, D = 8 by default), which keeps the
 //! boxcar's droop at the band edge within 0.2 dB and keeps the aliases of
 //! the band out of it. The FFT length shrinks by `D`, so its bin grid
-//! (`fs / 32768` ≈ 73 Hz at SF7) is the one the full-rate FFT had. The
-//! golden-section polish then runs on the full-rate dechirped sequence and
-//! evaluates each candidate `δ` with a phasor recurrence: one `cis` per
-//! evaluation, one complex multiply per sample.
+//! (`fs / 32768` ≈ 73 Hz at SF7) is the one the full-rate FFT had.
+//!
+//! The polish then maximises the correlation power `P(δ) = |C(δ)|²` on the
+//! full-rate dechirped sequence by safeguarded Newton inside the coarse
+//! peak's ±3-bin bracket. Each pass is one phasor-recurrence sweep (one
+//! `cis` per pass, one complex multiply per sample) that accumulates `C`
+//! and its first two index-weighted moments, which give `P′` and `P″` in
+//! closed form. The bracket shrinks by the sign of `P′`; a Newton step
+//! that leaves it, or a non-concave `P`, falls back to bisection. It takes
+//! about 3 passes to reach 1 mHz.
 
 use crate::SoftLoraError;
 use softlora_dsp::fft::next_pow2;
-use softlora_dsp::optimize::{golden_section, nelder_mead, DifferentialEvolution};
+use softlora_dsp::optimize::{nelder_mead, DifferentialEvolution};
 use softlora_dsp::regression::linear_fit;
 use softlora_dsp::unwrap::unwrap_iq_with;
 use softlora_dsp::{Complex, DspScratch};
@@ -226,8 +232,9 @@ impl FbEstimator {
     }
 
     /// Fast least-squares estimate: a decimated dechirp FFT finds the
-    /// coarse peak, then a golden-section search polishes the correlation
-    /// magnitude on the full-rate dechirped sequence. The coarse FFT runs
+    /// coarse peak, then a safeguarded Newton search (about 3 passes over
+    /// the full-rate dechirped sequence) polishes the correlation power to
+    /// 1 mHz. The coarse FFT runs
     /// on the tone boxcar-decimated by `D` (see the module docs), with the
     /// same ≈73 Hz bin grid as a 4×-padded full-rate FFT. The dechirped
     /// sequence and decimated spectrum live in the arena.
@@ -257,6 +264,29 @@ impl FbEstimator {
         d: &mut Vec<Complex>,
         spec: &mut Vec<Complex>,
     ) -> Result<FbEstimate, SoftLoraError> {
+        let (coarse_hz, bin_hz) = self.coarse_search(z, scratch, d, spec)?;
+        // Polish: Newton on the continuous correlation power, over a
+        // window wide enough to cover the 4-bin detection spread.
+        let (delta_hz, peak, _) = self.newton_polish(d, coarse_hz, 3.0 * bin_hz);
+        let energy: f64 = d.iter().map(|v| v.norm_sqr()).sum();
+        let quality = if energy > 0.0 {
+            (peak.norm_sqr() / (energy * d.len() as f64)).clamp(0.0, 1.0)
+        } else {
+            0.0
+        };
+        Ok(FbEstimate { delta_hz, method: FbMethod::MatchedFilter, quality })
+    }
+
+    /// The matched filter's coarse stage: fills `d` with the clipped
+    /// dechirped sequence and returns the decimated FFT's peak frequency
+    /// and bin width, Hz.
+    fn coarse_search(
+        &self,
+        z: &[Complex],
+        scratch: &mut DspScratch,
+        d: &mut Vec<Complex>,
+        spec: &mut Vec<Complex>,
+    ) -> Result<(f64, f64), SoftLoraError> {
         let decimation = self.decimation()?;
         self.dechirp_into(z, d)?;
         let m = d.len();
@@ -304,25 +334,48 @@ impl FbEstimator {
         }
         let (best_bin, _) =
             best.ok_or(SoftLoraError::Capture { reason: "FB search range holds no FFT bin" })?;
-        let coarse_hz = signed_bin(best_bin) * bin_hz;
+        Ok((signed_bin(best_bin) * bin_hz, bin_hz))
+    }
 
-        // Polish: golden-section on the continuous correlation magnitude,
-        // over a window wide enough to cover the 4-bin detection spread.
-        let dt = 1.0 / self.sample_rate;
-        // Negated: golden_section minimises.
-        let corr_mag = |delta: f64| -> f64 {
-            -tone_correlation(d, -2.0 * std::f64::consts::PI * delta * dt).norm()
-        };
-        let (delta_hz, neg_peak) =
-            golden_section(corr_mag, coarse_hz - 3.0 * bin_hz, coarse_hz + 3.0 * bin_hz, 0.5)
-                .map_err(SoftLoraError::Dsp)?;
-        let energy: f64 = d.iter().map(|v| v.norm_sqr()).sum();
-        let quality = if energy > 0.0 {
-            ((-neg_peak) * (-neg_peak) / (energy * m as f64)).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        Ok(FbEstimate { delta_hz, method: FbMethod::MatchedFilter, quality })
+    /// Maximises `P(f) = |C(f)|²`, `C(f) = Σ d[k]·e^{−2πjf·k/fs}`, over
+    /// `centre ± half_width` Hz by safeguarded Newton: each pass
+    /// ([`tone_moments`]) yields `P′` and `P″`, narrows the bracket by the
+    /// sign of `P′`, and takes the Newton step when `P″ < 0` and the step
+    /// lands inside the bracket, else bisects. Stops when the step or the
+    /// bracket falls under [`POLISH_TOL_HZ`], or after
+    /// [`MAX_POLISH_PASSES`]. Returns the last evaluated frequency, its
+    /// `C` and the number of passes.
+    fn newton_polish(&self, d: &[Complex], centre: f64, half_width: f64) -> (f64, Complex, usize) {
+        // ω = −2π·f/fs, so dω/df = −2π/fs.
+        let dw_df = -2.0 * std::f64::consts::PI / self.sample_rate;
+        let (mut lo, mut hi) = (centre - half_width, centre + half_width);
+        let mut f = centre;
+        let mut passes = 0;
+        loop {
+            let (c, c1, c2) = tone_moments(d, dw_df * f);
+            passes += 1;
+            // P′ and P″ in ω, then in Hz.
+            let slope = -2.0 * (c.conj() * c1).im * dw_df;
+            let curvature = 2.0 * (c1.norm_sqr() - (c.conj() * c2).re) * dw_df * dw_df;
+            if slope > 0.0 {
+                lo = f;
+            } else {
+                hi = f;
+            }
+            let newton = f - slope / curvature;
+            let next = if curvature < 0.0 && (lo..=hi).contains(&newton) {
+                newton
+            } else {
+                0.5 * (lo + hi)
+            };
+            if (next - f).abs() < POLISH_TOL_HZ
+                || hi - lo < POLISH_TOL_HZ
+                || passes == MAX_POLISH_PASSES
+            {
+                return (f, c, passes);
+            }
+            f = next;
+        }
     }
 
     /// Paper-faithful least-squares estimate over `(δ, θ)` solved by
@@ -449,12 +502,25 @@ impl FbEstimator {
 /// down to a handful of samples.
 const MAX_DECIMATION: usize = 64;
 
-/// `Σ_k d[k]·e^{jωk}` by phasor recurrence: one `cis` per call and one
-/// complex multiply per sample. Four interleaved lanes, each advanced by
+/// Stop tolerance of the matched filter's Newton polish, Hz.
+const POLISH_TOL_HZ: f64 = 1e-3;
+
+/// Pass cap of the matched filter's Newton polish. Bisection alone
+/// narrows the ±3-bin bracket below [`POLISH_TOL_HZ`] in about 20 passes.
+const MAX_POLISH_PASSES: usize = 40;
+
+/// The tone moments `(C, C₁, C₂)` of `y[k] = d[k]·e^{jωk}`: `C = Σ y[k]`,
+/// `C₁ = Σ (k−c)·y[k]` and `C₂ = Σ (k−c)²·y[k]`, with `c = (m−1)/2`
+/// centring the index for conditioning. They give the correlation power
+/// `P = |C|²` and its derivatives in `ω`: `P′ = −2·Im(C̄·C₁)` and
+/// `P″ = 2·(|C₁|² − Re(C̄·C₂))`.
+///
+/// One pass by phasor recurrence: one `cis` per call and one complex
+/// multiply per sample. Four interleaved lanes, each advanced by
 /// `e^{4jω}`, keep the multiply chains independent; the lanes are held as
 /// separate real and imaginary arrays (the `kernels` chunked-loop layout)
 /// so the per-lane arithmetic vectorizes.
-fn tone_correlation(d: &[Complex], omega: f64) -> Complex {
+fn tone_moments(d: &[Complex], omega: f64) -> (Complex, Complex, Complex) {
     const LANES: usize = 4;
     let step = Complex::cis(omega);
     let mut phasor = [Complex::ONE; LANES];
@@ -462,14 +528,25 @@ fn tone_correlation(d: &[Complex], omega: f64) -> Complex {
         phasor[l] = phasor[l - 1] * step;
     }
     let stride = phasor[LANES - 1] * step;
+    let centre = (d.len() as f64 - 1.0) / 2.0;
     let (mut pr, mut pi) = (phasor.map(|p| p.re), phasor.map(|p| p.im));
+    let mut w: [f64; LANES] = std::array::from_fn(|l| l as f64 - centre);
     let (mut ar, mut ai) = ([0.0f64; LANES], [0.0f64; LANES]);
+    let (mut br, mut bi) = ([0.0f64; LANES], [0.0f64; LANES]);
+    let (mut cr, mut ci) = ([0.0f64; LANES], [0.0f64; LANES]);
     let mut blocks = d.chunks_exact(LANES);
     for block in &mut blocks {
         for l in 0..LANES {
             let (x, y) = (block[l].re, block[l].im);
-            ar[l] += x * pr[l] - y * pi[l];
-            ai[l] += x * pi[l] + y * pr[l];
+            let (yr, yi) = (x * pr[l] - y * pi[l], x * pi[l] + y * pr[l]);
+            let (wr, wi) = (w[l] * yr, w[l] * yi);
+            ar[l] += yr;
+            ai[l] += yi;
+            br[l] += wr;
+            bi[l] += wi;
+            cr[l] += w[l] * wr;
+            ci[l] += w[l] * wi;
+            w[l] += LANES as f64;
         }
         for l in 0..LANES {
             let re = pr[l] * stride.re - pi[l] * stride.im;
@@ -477,16 +554,24 @@ fn tone_correlation(d: &[Complex], omega: f64) -> Complex {
             pr[l] = re;
         }
     }
-    let tail: Complex =
-        blocks.remainder().iter().enumerate().map(|(l, &v)| v * Complex::new(pr[l], pi[l])).sum();
-    let acc: Complex = (0..LANES).map(|l| Complex::new(ar[l], ai[l])).sum();
-    acc + tail
+    let lane_sum = |re: [f64; LANES], im: [f64; LANES]| -> Complex {
+        (0..LANES).map(|l| Complex::new(re[l], im[l])).sum()
+    };
+    let (mut c, mut c1, mut c2) = (lane_sum(ar, ai), lane_sum(br, bi), lane_sum(cr, ci));
+    for (l, &v) in blocks.remainder().iter().enumerate() {
+        let y = v * Complex::new(pr[l], pi[l]);
+        c += y;
+        c1 += y.scale(w[l]);
+        c2 += y.scale(w[l] * w[l]);
+    }
+    (c, c1, c2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use softlora_phy::noise::{add_noise_at_snr, GaussianNoise, NoiseSource};
+    use softlora_dsp::optimize::golden_section;
+    use softlora_phy::noise::{add_noise_at_snr, GaussianNoise, NoiseSource, RealNoiseEmulator};
     use softlora_phy::oscillator::Oscillator;
     use softlora_phy::sdr::SdrReceiver;
     use softlora_phy::{PhyConfig, SpreadingFactor};
@@ -816,6 +901,80 @@ mod tests {
                 assert!((fast - delta).abs() < 150.0, "δ {delta} Hz at {snr_db} dB: {fast}");
             }
         }
+    }
+
+    /// The polish before Newton: golden-section on `|C(f)|` to 0.5 Hz
+    /// over the same bracket.
+    fn golden_polish(est: &FbEstimator, d: &[Complex], centre: f64, half_width: f64) -> f64 {
+        let dw_df = -2.0 * std::f64::consts::PI / est.sample_rate;
+        let corr_mag = |f: f64| -> f64 { -tone_moments(d, dw_df * f).0.norm() };
+        golden_section(corr_mag, centre - half_width, centre + half_width, 0.5).unwrap().0
+    }
+
+    #[test]
+    fn newton_polish_matches_golden_section() {
+        let mut scratch = DspScratch::new();
+        let (mut d, mut spec) = (Vec::new(), Vec::new());
+        let (mut seed, mut trials, mut passes) = (300, 0, 0);
+        for delta in [0.0, 10_000.0, -10_000.0, 33_900.0, -33_900.0] {
+            for snr_db in [10.0, 0.0, -10.0, -20.0, -25.0] {
+                for real_noise in [false, true] {
+                    seed += 1;
+                    let cap = clean_capture(delta, 0.0, 0.9, seed);
+                    let est = FbEstimator::new(&cfg(), cap.sample_rate);
+                    let mut z = cap.to_complex();
+                    if real_noise {
+                        add_noise_at_snr(&mut z, &mut RealNoiseEmulator::new(1.0, seed), snr_db);
+                    } else {
+                        add_noise_at_snr(&mut z, &mut GaussianNoise::new(1.0, seed), snr_db);
+                    }
+                    let z = &z[cap.true_onset..];
+                    let (coarse, bin_hz) =
+                        est.coarse_search(z, &mut scratch, &mut d, &mut spec).unwrap();
+                    let (newton, _, n) = est.newton_polish(&d, coarse, 3.0 * bin_hz);
+                    let golden = golden_polish(&est, &d, coarse, 3.0 * bin_hz);
+                    assert!(
+                        (newton - golden).abs() < 0.5,
+                        "δ {delta} Hz at {snr_db} dB (real noise {real_noise}): \
+                         newton {newton} vs golden {golden}"
+                    );
+                    trials += 1;
+                    passes += n;
+                }
+            }
+        }
+        // Golden-section needs 18 passes to reach 0.5 Hz.
+        let mean = passes as f64 / trials as f64;
+        assert!(mean < 4.0, "mean Newton passes {mean}");
+    }
+
+    #[test]
+    fn newton_polish_is_safeguarded() {
+        let est = FbEstimator::new(&cfg(), 2.4e6);
+        let m = 2 * est.samples_per_chirp();
+        let (centre, half_width) = (1_000.0, 220.0);
+        let inside =
+            |f: f64| f.is_finite() && (centre - half_width..=centre + half_width).contains(&f);
+        // Pure noise: no peak to converge on.
+        let noise = GaussianNoise::new(1.0, 5).generate(m);
+        let (f, c, passes) = est.newton_polish(&noise, centre, half_width);
+        assert!(inside(f) && c.norm().is_finite(), "noise: {f} Hz");
+        assert!(passes <= MAX_POLISH_PASSES);
+        // A tone on the bracket edge, and one past it: the polish ends
+        // on the edge.
+        for tone_hz in [centre + half_width, centre - half_width - 100.0] {
+            let dw = 2.0 * std::f64::consts::PI * tone_hz / est.sample_rate;
+            let tone: Vec<Complex> = (0..m).map(|k| Complex::cis(dw * k as f64)).collect();
+            let (f, _, passes) = est.newton_polish(&tone, centre, half_width);
+            assert!(inside(f), "tone at {tone_hz} Hz: {f} Hz");
+            assert!(passes <= MAX_POLISH_PASSES);
+            let edge = if tone_hz > centre { centre + half_width } else { centre - half_width };
+            assert!((f - edge).abs() < 0.01, "tone at {tone_hz} Hz: {f} Hz");
+        }
+        // An all-zero trace is flat.
+        let zeros = vec![Complex::ZERO; m];
+        let (f, _, passes) = est.newton_polish(&zeros, centre, half_width);
+        assert!(inside(f) && passes <= MAX_POLISH_PASSES, "zeros: {f} Hz");
     }
 
     #[test]

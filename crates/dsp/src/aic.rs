@@ -2,19 +2,23 @@
 //!
 //! The paper adapts the autoregressive AIC phase picker used in seismology
 //! (Sleeman & van Eck, 1999 \[21\]) to pick the LoRa preamble onset on SDR I/Q
-//! traces with single-sample accuracy. Two variants are provided:
+//! traces with single-sample accuracy. Three variants are provided:
 //!
 //! * [`aic_pick`] — the variance-based "Maeda AIC" formulation
-//!   `AIC(k) = k·ln σ²(x[..k]) + (N−k−1)·ln σ²(x[k..])`, which is the common
-//!   on-line implementation and what SoftLoRa runs per frame;
+//!   `AIC(k) = k·ln σ²(x[..k]) + (N−k−1)·ln σ²(x[k..])`, the common on-line
+//!   implementation and the paper's per-frame picker;
 //! * [`ar_aic_pick`] — the full autoregressive variant that fits AR models
 //!   (via Burg's method) to the segments before and after each candidate and
 //!   compares prediction-error variances, closer to the original seismology
-//!   formulation and slightly more robust on strongly coloured noise.
+//!   formulation and slightly more robust on strongly coloured noise;
+//! * [`power_aic_onset_with`] — a mean-changepoint picker on the complex
+//!   capture's log-power, which stays robust at low SNR and is the
+//!   gateway's default.
 //!
-//! Both formulate onset detection as an argmin, so — like the envelope
+//! All formulate onset detection as an arg-optimum, so — like the envelope
 //! detector — they need no detection threshold.
 
+use crate::math::ln_normal;
 use crate::scratch::DspScratch;
 use crate::DspError;
 
@@ -265,15 +269,22 @@ pub fn ar_aic_pick(x: &[f64], order: usize, step: usize) -> Result<AicPick, DspE
     Ok(AicPick { onset: best, curve })
 }
 
-/// Power-trace changepoint picker for complex captures.
+/// Power-trace changepoint picker for complex captures, returning the
+/// onset sample.
 ///
 /// Operates on the instantaneous **log-power** `x[k] = ln(I[k]² + Q[k]²)`.
 /// For complex Gaussian noise the power is exponentially distributed, so
 /// its logarithm has *constant variance* (π²/6) at any noise level, and a
 /// signal onset appears as a clean mean shift of `ln(1 + S/N)`. The picker
 /// minimises the two-segment sum of squared errors around the segment
-/// means — the optimal Gaussian mean-changepoint statistic — in `O(N)`
-/// via prefix sums.
+/// means — the optimal Gaussian mean-changepoint statistic.
+///
+/// With `S_k = Σ_{j<k} x[j]`, `T = S_n` and `Q = Σ x[j]²`, that cost is
+/// `Q − S_k²/k − (T − S_k)²/(n − k)`. `Q` does not depend on `k`, so the
+/// pick is the first argmax of `S_k²/k + (T − S_k)²/(n − k)`. The
+/// log-power (the inline fdlibm [`ln_normal`]) goes into one arena
+/// buffer, is prefix-summed in place, and the candidates are scanned over
+/// it. Allocation-free once the arena is warm.
 ///
 /// Two robustness properties make this the gateway's default:
 ///
@@ -286,47 +297,11 @@ pub fn ar_aic_pick(x: &[f64], order: usize, step: usize) -> Result<AicPick, DspE
 ///
 /// Returns [`DspError::InvalidWindow`] if the traces differ in length,
 /// plus the length requirements of [`aic_pick`].
-pub fn power_aic_pick(i: &[f64], q: &[f64], guard: usize) -> Result<AicPick, DspError> {
-    let mut prefix = Vec::new();
-    let mut prefix_sq = Vec::new();
-    let mut curve = Vec::new();
-    let onset = power_aic_curve_into(i, q, guard, &mut prefix, &mut prefix_sq, &mut curve)?;
-    Ok(AicPick { onset, curve })
-}
-
-/// Scratch-backed [`power_aic_pick`] returning only the onset: the
-/// log-power prefix sums and the cost curve live in the arena. Identical
-/// pick to `power_aic_pick` (the same core runs over arena-held
-/// buffers); allocation-free once the arena is warm.
-///
-/// # Errors
-///
-/// Same as [`power_aic_pick`].
 pub fn power_aic_onset_with(
     i: &[f64],
     q: &[f64],
     guard: usize,
     scratch: &mut DspScratch,
-) -> Result<usize, DspError> {
-    let mut prefix = scratch.take_real_empty();
-    let mut prefix_sq = scratch.take_real_empty();
-    let mut curve = scratch.take_real_empty();
-    let result = power_aic_curve_into(i, q, guard, &mut prefix, &mut prefix_sq, &mut curve);
-    scratch.put_real(curve);
-    scratch.put_real(prefix_sq);
-    scratch.put_real(prefix);
-    result
-}
-
-/// The log-power changepoint core shared by the allocating and scratch
-/// paths: fills `curve` (edge samples `INFINITY`) and returns the argmin.
-fn power_aic_curve_into(
-    i: &[f64],
-    q: &[f64],
-    guard: usize,
-    prefix: &mut Vec<f64>,
-    prefix_sq: &mut Vec<f64>,
-    curve: &mut Vec<f64>,
 ) -> Result<usize, DspError> {
     if i.len() != q.len() {
         return Err(DspError::InvalidWindow { reason: "I and Q traces must have equal length" });
@@ -336,34 +311,60 @@ fn power_aic_curve_into(
     if n < min_len {
         return Err(DspError::InputTooShort { required: min_len, actual: n });
     }
-    prefix.clear();
+    // Log-power into prefix[1..] (a branch-free pass that vectorizes),
+    // then summed in place: prefix[k] = S_k.
+    let mut prefix = scratch.take_real_empty();
     prefix.resize(n + 1, 0.0);
-    prefix_sq.clear();
-    prefix_sq.resize(n + 1, 0.0);
-    for k in 0..n {
-        let x = (i[k] * i[k] + q[k] * q[k]).max(1e-300).ln();
-        prefix[k + 1] = prefix[k] + x;
-        prefix_sq[k + 1] = prefix_sq[k] + x * x;
+    for (x, (&a, &b)) in prefix[1..].iter_mut().zip(i.iter().zip(q)) {
+        *x = ln_normal((a * a + b * b).max(1e-300));
     }
-    // SSE of segment [a, b) around its own mean.
-    let sse = |a: usize, b: usize| -> f64 {
-        let m = (b - a) as f64;
-        let s = prefix[b] - prefix[a];
-        (prefix_sq[b] - prefix_sq[a]) - s * s / m
-    };
-    let lo = guard.max(2);
-    let hi = n - guard.max(2);
-    curve.clear();
-    curve.resize(n, f64::INFINITY);
-    let mut best = lo;
-    for k in lo..hi {
-        let cost = sse(0, k) + sse(k, n);
-        curve[k] = cost;
-        if cost < curve[best] {
-            best = k;
+    let mut total = 0.0;
+    for x in prefix.iter_mut() {
+        total += *x;
+        *x = total;
+    }
+    let best = first_argmax_gain(&prefix, guard.max(2), n - guard.max(2), total);
+    scratch.put_real(prefix);
+    Ok(best)
+}
+
+/// The first `k` in `lo..hi` that maximises
+/// `S_k²/k + (T − S_k)²/(n − k)`, with `S_k = prefix[k]`,
+/// `n = prefix.len() − 1` and `T = total`; `lo` when no gain is a number.
+/// Four interleaved lanes each keep their own first maximum, so the
+/// division-bound scan vectorizes; merging the lanes by gain, then by
+/// index, gives the first maximum overall.
+fn first_argmax_gain(prefix: &[f64], lo: usize, hi: usize, total: f64) -> usize {
+    const LANES: usize = 4;
+    let n = (prefix.len() - 1) as f64;
+    let mut k: [f64; LANES] = std::array::from_fn(|l| (lo + l) as f64);
+    let mut lane_k = k;
+    let mut lane_gain = [f64::NEG_INFINITY; LANES];
+    let gain = |s: f64, k: f64| s * s / k + (total - s) * (total - s) / (n - k);
+    let mut blocks = prefix[lo..hi].chunks_exact(LANES);
+    for block in &mut blocks {
+        for l in 0..LANES {
+            let g = gain(block[l], k[l]);
+            if g > lane_gain[l] {
+                (lane_gain[l], lane_k[l]) = (g, k[l]);
+            }
+            k[l] += LANES as f64;
         }
     }
-    Ok(best)
+    let (mut best_k, mut best_gain) = (lo as f64, f64::NEG_INFINITY);
+    for l in 0..LANES {
+        if lane_gain[l] > best_gain || (lane_gain[l] == best_gain && lane_k[l] < best_k) {
+            (best_k, best_gain) = (lane_k[l], lane_gain[l]);
+        }
+    }
+    // The tail's indices follow every lane's, so it only wins outright.
+    for (l, &s) in blocks.remainder().iter().enumerate() {
+        let g = gain(s, k[l]);
+        if g > best_gain {
+            (best_k, best_gain) = (k[l], g);
+        }
+    }
+    best_k as usize
 }
 
 /// Final prediction-error variance of an AR(`order`) model fitted with
@@ -536,8 +537,9 @@ mod tests {
             i[k] = si + 0.7 * gaussian(&mut rng);
             q[k] = sq + 0.7 * gaussian(&mut rng);
         }
-        let p = power_aic_pick(&i, &q, 16).unwrap();
-        assert!((p.onset as i64 - onset as i64).abs() <= 60, "got {}", p.onset);
+        let mut scratch = DspScratch::new();
+        let p = power_aic_onset_with(&i, &q, 16, &mut scratch).unwrap();
+        assert!((p as i64 - onset as i64).abs() <= 60, "got {p}");
     }
 
     #[test]
@@ -550,6 +552,7 @@ mod tests {
         const TRIALS: u64 = 20;
         let mut power_err = 0i64;
         let mut var_err = 0i64;
+        let mut scratch = DspScratch::new();
         for seed in 0..TRIALS {
             let mut rng = StdRng::seed_from_u64(400 + seed);
             let n = 4000;
@@ -567,7 +570,9 @@ mod tests {
                 i[k] = si + sigma * gaussian(&mut rng);
                 q[k] = sq + sigma * gaussian(&mut rng);
             }
-            power_err += (power_aic_pick(&i, &q, 16).unwrap().onset as i64 - onset as i64).abs();
+            power_err += (power_aic_onset_with(&i, &q, 16, &mut scratch).unwrap() as i64
+                - onset as i64)
+                .abs();
             var_err += (aic_pick(&i, 16).unwrap().onset as i64 - onset as i64).abs();
         }
         assert!(power_err <= var_err, "power {power_err} vs var {var_err}");
@@ -577,8 +582,76 @@ mod tests {
 
     #[test]
     fn power_aic_validates_inputs() {
-        assert!(power_aic_pick(&[0.0; 10], &[0.0; 9], 2).is_err());
-        assert!(power_aic_pick(&[0.0; 4], &[0.0; 4], 4).is_err());
+        let mut scratch = DspScratch::new();
+        assert!(power_aic_onset_with(&[0.0; 10], &[0.0; 9], 2, &mut scratch).is_err());
+        assert!(power_aic_onset_with(&[0.0; 4], &[0.0; 4], 4, &mut scratch).is_err());
+    }
+
+    /// The two-prefix log-power changepoint the one-prefix form replaced:
+    /// platform `ln`, prefix sums of `x` and `x²`, argmin of the summed
+    /// segment SSEs.
+    fn oracle_power_aic(i: &[f64], q: &[f64], guard: usize) -> usize {
+        let n = i.len();
+        let mut prefix = vec![0.0; n + 1];
+        let mut prefix_sq = vec![0.0; n + 1];
+        for k in 0..n {
+            let x = (i[k] * i[k] + q[k] * q[k]).max(1e-300).ln();
+            prefix[k + 1] = prefix[k] + x;
+            prefix_sq[k + 1] = prefix_sq[k] + x * x;
+        }
+        let sse = |a: usize, b: usize| -> f64 {
+            let m = (b - a) as f64;
+            let s = prefix[b] - prefix[a];
+            (prefix_sq[b] - prefix_sq[a]) - s * s / m
+        };
+        let lo = guard.max(2);
+        let hi = n - guard.max(2);
+        let mut best = (lo, f64::INFINITY);
+        for k in lo..hi {
+            let cost = sse(0, k) + sse(k, n);
+            if cost < best.1 {
+                best = (k, cost);
+            }
+        }
+        best.0
+    }
+
+    #[test]
+    fn power_aic_matches_the_two_prefix_oracle() {
+        use softlora_phy::noise::{add_noise_at_snr, GaussianNoise, RealNoiseEmulator};
+        use softlora_phy::oscillator::Oscillator;
+        use softlora_phy::sdr::{IqCapture, SdrReceiver};
+        use softlora_phy::{PhyConfig, SpreadingFactor};
+
+        let mut scratch = DspScratch::new();
+        let mut captures = 0;
+        for sf in [SpreadingFactor::Sf7, SpreadingFactor::Sf9] {
+            let cfg = PhyConfig::uplink(sf);
+            for snr_db in -12i32..=15 {
+                for trial in 0..36u64 {
+                    let seed = 1000 * snr_db.unsigned_abs() as u64 + 37 * trial + sf.value() as u64;
+                    let lead = 600 + (seed * 13 % 201) as usize;
+                    let osc = Oscillator::with_bias_ppm(3.0, 869.75e6, seed);
+                    let delta = -30_000.0 + (seed * 7919 % 60_000) as f64;
+                    let cap = SdrReceiver::new(osc)
+                        .capture_chirps(&cfg, 2, delta, 0.3, 1.0, lead)
+                        .unwrap();
+                    let mut z = cap.to_complex();
+                    if trial % 2 == 0 {
+                        add_noise_at_snr(&mut z, &mut GaussianNoise::new(1.0, seed), snr_db as f64);
+                    } else {
+                        let mut real = RealNoiseEmulator::new(1.0, seed);
+                        add_noise_at_snr(&mut z, &mut real, snr_db as f64);
+                    }
+                    let cap = IqCapture::from_complex(&z, cap.sample_rate, cap.true_onset);
+                    let pick = power_aic_onset_with(&cap.i, &cap.q, 16, &mut scratch).unwrap();
+                    let want = oracle_power_aic(&cap.i, &cap.q, 16);
+                    assert_eq!(pick, want, "SF{} at {snr_db} dB, trial {trial}", sf.value());
+                    captures += 1;
+                }
+            }
+        }
+        assert!(captures >= 2000);
     }
 
     #[test]

@@ -47,6 +47,7 @@ pub mod envelope;
 pub mod fft;
 pub mod filter;
 pub mod kernels;
+pub mod math;
 pub mod optimize;
 pub mod regression;
 pub mod scratch;
