@@ -8,8 +8,7 @@
 //! The `fft_kernels`, `fft_real`, `dechirp` and `fft_batched` groups
 //! time the vector-fast kernels (fused-stage schedule, N/2 real-input
 //! transform, chunked dechirp fold, batched multi-frame transforms)
-//! against their reference counterparts; `dsp_report` runs the same
-//! comparisons as a CI artifact (`BENCH_dsp.json`).
+//! against their reference counterparts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use softlora_dsp::aic::{aic_onset_with, aic_pick, power_aic_onset_with};

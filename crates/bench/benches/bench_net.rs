@@ -48,7 +48,7 @@ fn bench_protocol(c: &mut Criterion) {
         let frame = mk_push_data(copies);
         let encoded = encode_frame(&frame);
 
-        // The loadgen's send path: clear + encode into a reused buffer.
+        // A gateway's send path: clear + encode into a reused buffer.
         let mut scratch = Encoder::new();
         group.bench_function(format!("encode_push_data_{copies}"), |b| {
             b.iter(|| {

@@ -9,20 +9,17 @@
 //! is a prerequisite of the FB estimation").
 
 use crate::SoftLoraError;
-use softlora_dsp::aic::{aic_onset_iq_with, aic_onset_with, power_aic_onset_with};
-use softlora_dsp::envelope::EnvelopeDetector;
+use softlora_dsp::aic::{aic_onset_with, power_aic_onset_with};
 use softlora_dsp::DspScratch;
 use softlora_phy::sdr::IqCapture;
 
-/// Onset-picking algorithm (paper §6.1.2 evaluates both).
+/// Onset-picking algorithm. Paper §6.1.2 also evaluates a Hilbert
+/// envelope detector, which loses to AIC; it stays available as
+/// [`softlora_dsp::envelope::EnvelopeDetector`] for the figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OnsetMethod {
-    /// Hilbert-envelope amplitude-ratio detector.
-    Envelope,
     /// Variance-AIC picker on one trace (I), the paper's choice.
     Aic,
-    /// Variance-AIC picker on the joint I+Q curves.
-    AicIq,
     /// Exponential-rate changepoint picker on the instantaneous power
     /// trace `I² + Q²` — an implementation extension that stays robust at
     /// low SNR, where the variance contrast seen by the per-component AIC
@@ -63,8 +60,8 @@ impl PhyTimestamper {
 
     /// Picks the signal onset in an I/Q capture against a caller-owned
     /// scratch arena: every picker's intermediates (AIC curves, prefix
-    /// sums, Hilbert buffers) come from the arena, so after warm-up a pick
-    /// allocates nothing.
+    /// sums) come from the arena, so after warm-up a pick allocates
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -76,15 +73,7 @@ impl PhyTimestamper {
         scratch: &mut DspScratch,
     ) -> Result<PhyTimestamp, SoftLoraError> {
         let onset_sample = match self.method {
-            OnsetMethod::Envelope => {
-                let det = EnvelopeDetector::new();
-                det.detect_onset_with(&capture.i, scratch).map_err(|_| SoftLoraError::Capture {
-                    reason: "capture too short for envelope",
-                })?
-            }
             OnsetMethod::Aic => aic_onset_with(&capture.i, self.guard, scratch)
-                .map_err(|_| SoftLoraError::Capture { reason: "capture too short for AIC" })?,
-            OnsetMethod::AicIq => aic_onset_iq_with(&capture.i, &capture.q, self.guard, scratch)
                 .map_err(|_| SoftLoraError::Capture { reason: "capture too short for AIC" })?,
             OnsetMethod::PowerAic => {
                 power_aic_onset_with(&capture.i, &capture.q, self.guard, scratch)
@@ -118,10 +107,18 @@ impl PhyTimestamper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use softlora_dsp::envelope::EnvelopeDetector;
     use softlora_phy::noise::{add_noise_at_snr, GaussianNoise};
     use softlora_phy::oscillator::Oscillator;
     use softlora_phy::sdr::SdrReceiver;
     use softlora_phy::{PhyConfig, SpreadingFactor};
+
+    /// Signed envelope-detector error against the capture's ground
+    /// truth, seconds (the [`PhyTimestamper::timestamp_error_s`] metric).
+    fn envelope_error_s(cap: &IqCapture, scratch: &mut DspScratch) -> f64 {
+        let onset = EnvelopeDetector::new().detect_onset_with(&cap.i, scratch).unwrap();
+        (onset as i64 - cap.true_onset as i64) as f64 * cap.dt()
+    }
 
     fn capture(snr_db: Option<f64>, seed: u64) -> IqCapture {
         let cfg = PhyConfig::uplink(SpreadingFactor::Sf7);
@@ -159,8 +156,7 @@ mod tests {
         let mut scratch = DspScratch::new();
         for seed in 0..10 {
             let cap = capture(None, seed);
-            let ts = PhyTimestamper::new(OnsetMethod::Envelope);
-            let err = ts.timestamp_error_s(&cap, &mut scratch).unwrap().abs();
+            let err = envelope_error_s(&cap, &mut scratch).abs();
             assert!(err < 10e-6, "seed {seed}: err {err}");
         }
     }
@@ -171,11 +167,10 @@ mod tests {
         let mut env_sum = 0.0;
         let mut scratch = DspScratch::new();
         let aic = PhyTimestamper::new(OnsetMethod::Aic);
-        let env = PhyTimestamper::new(OnsetMethod::Envelope);
         for seed in 0..10 {
             let cap = capture(Some(10.0), 100 + seed);
             aic_sum += aic.timestamp_error_s(&cap, &mut scratch).unwrap().abs();
-            env_sum += env.timestamp_error_s(&cap, &mut scratch).unwrap().abs();
+            env_sum += envelope_error_s(&cap, &mut scratch).abs();
         }
         assert!(aic_sum <= env_sum, "aic {aic_sum} env {env_sum}");
     }
@@ -210,22 +205,12 @@ mod tests {
     }
 
     #[test]
-    fn iq_joint_method_works() {
-        let cap = capture(Some(5.0), 7);
-        let ts = PhyTimestamper::new(OnsetMethod::AicIq);
-        let err = ts.timestamp_error_s(&cap, &mut DspScratch::new()).unwrap().abs();
-        assert!(err < 10e-6, "err {err}");
-        assert_eq!(ts.method(), OnsetMethod::AicIq);
-    }
-
-    #[test]
     fn short_capture_is_error() {
         let cap = IqCapture { i: vec![0.0; 8], q: vec![0.0; 8], sample_rate: 2.4e6, true_onset: 0 };
         let mut scratch = DspScratch::new();
-        for m in
-            [OnsetMethod::Envelope, OnsetMethod::Aic, OnsetMethod::AicIq, OnsetMethod::PowerAic]
-        {
+        for m in [OnsetMethod::Aic, OnsetMethod::PowerAic] {
             assert!(PhyTimestamper::new(m).timestamp_with(&cap, &mut scratch).is_err());
         }
+        assert!(EnvelopeDetector::new().detect_onset_with(&cap.i, &mut scratch).is_err());
     }
 }

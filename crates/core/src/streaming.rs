@@ -494,22 +494,12 @@ impl Block for ShardSinkBlock {
             return WorkResult::Finished;
         }
         let mut committed = 0;
+        let mut last_uplink = 0;
+        let mut input_finished = false;
         while committed < SINK_BATCH {
-            let routed = match io.input().pop() {
-                Some(routed) => routed,
-                None if io.input().is_finished() => {
-                    if let Some(store) = &self.core.store {
-                        let _ = store.shard(self.core.index).lock().expect("wal poisoned").flush();
-                    }
-                    return WorkResult::Finished;
-                }
-                None => {
-                    return if committed > 0 {
-                        WorkResult::Produced(committed)
-                    } else {
-                        WorkResult::NeedsInput
-                    }
-                }
+            let Some(routed) = io.input().pop() else {
+                input_finished = io.input().is_finished();
+                break;
             };
             debug_assert_eq!(routed.shard, self.core.index, "router sent a foreign device");
             match self.core.commit(
@@ -533,9 +523,26 @@ impl Block for ShardSinkBlock {
                     return WorkResult::Finished;
                 }
             }
+            last_uplink = routed.group.uplink;
             committed += 1;
         }
-        WorkResult::Produced(committed)
+        // One coalesced WAL frame per work call, as the batch path seals
+        // one per shard per batch.
+        if let Err(e) = self.core.seal_frame() {
+            self.hub.lock().expect("observer hub poisoned").notify_error(last_uplink, &e);
+            self.failed = true;
+            return WorkResult::Finished;
+        }
+        if input_finished {
+            if let Some(store) = &self.core.store {
+                let _ = store.shard(self.core.index).lock().expect("wal poisoned").flush();
+            }
+            WorkResult::Finished
+        } else if committed > 0 {
+            WorkResult::Produced(committed)
+        } else {
+            WorkResult::NeedsInput
+        }
     }
 }
 

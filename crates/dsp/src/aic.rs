@@ -135,83 +135,6 @@ fn aic_curve_into(
     Ok(best)
 }
 
-/// Joint AIC pick over the I and Q traces of an SDR capture.
-///
-/// The two component AIC curves are summed before the argmin, which uses the
-/// diversity of the two channels for a slightly more stable pick than either
-/// component alone.
-///
-/// # Errors
-///
-/// Returns [`DspError::InvalidWindow`] if the traces differ in length, plus
-/// the errors of [`aic_pick`].
-pub fn aic_pick_iq(i: &[f64], q: &[f64], guard: usize) -> Result<AicPick, DspError> {
-    if i.len() != q.len() {
-        return Err(DspError::InvalidWindow { reason: "I and Q traces must have equal length" });
-    }
-    let pi = aic_pick(i, guard)?;
-    let pq = aic_pick(q, guard)?;
-    let n = i.len();
-    let mut curve = vec![f64::INFINITY; n];
-    let mut best = None;
-    for k in 0..n {
-        if pi.curve[k].is_finite() && pq.curve[k].is_finite() {
-            curve[k] = pi.curve[k] + pq.curve[k];
-            match best {
-                None => best = Some(k),
-                Some(b) if curve[k] < curve[b] => best = Some(k),
-                _ => {}
-            }
-        }
-    }
-    let onset = best.expect("guarded region is non-empty by aic_pick's length check");
-    Ok(AicPick { onset, curve })
-}
-
-/// Scratch-backed [`aic_pick_iq`] returning only the joint onset: both
-/// component curves live in the arena. Identical pick to `aic_pick_iq`.
-///
-/// # Errors
-///
-/// Same as [`aic_pick_iq`].
-pub fn aic_onset_iq_with(
-    i: &[f64],
-    q: &[f64],
-    guard: usize,
-    scratch: &mut DspScratch,
-) -> Result<usize, DspError> {
-    if i.len() != q.len() {
-        return Err(DspError::InvalidWindow { reason: "I and Q traces must have equal length" });
-    }
-    let mut sum = scratch.take_real_empty();
-    let mut sumsq = scratch.take_real_empty();
-    let mut curve_i = scratch.take_real_empty();
-    let mut curve_q = scratch.take_real_empty();
-    let result = (|| {
-        aic_curve_into(i, guard, &mut sum, &mut sumsq, &mut curve_i)?;
-        aic_curve_into(q, guard, &mut sum, &mut sumsq, &mut curve_q)?;
-        // Joint argmin over the summed curves, exactly as `aic_pick_iq`
-        // computes it (the combined value is never materialised).
-        let mut best: Option<(usize, f64)> = None;
-        for k in 0..i.len() {
-            if curve_i[k].is_finite() && curve_q[k].is_finite() {
-                let joint = curve_i[k] + curve_q[k];
-                match best {
-                    None => best = Some((k, joint)),
-                    Some((_, b)) if joint < b => best = Some((k, joint)),
-                    _ => {}
-                }
-            }
-        }
-        Ok(best.expect("guarded region is non-empty by aic_pick's length check").0)
-    })();
-    scratch.put_real(curve_q);
-    scratch.put_real(curve_i);
-    scratch.put_real(sumsq);
-    scratch.put_real(sum);
-    result
-}
-
 /// Autoregressive AIC picker.
 ///
 /// For each candidate onset `k` (evaluated on a decimated grid of `step`
@@ -480,21 +403,6 @@ mod tests {
         let at_onset = p.curve[p.onset];
         assert!(at_onset <= p.curve[100]);
         assert!(at_onset <= p.curve[1100]);
-    }
-
-    #[test]
-    fn iq_joint_pick_works() {
-        let i = onset_trace(1500, 750, 1.0, 0.1, 10);
-        let q = onset_trace(1500, 750, 1.0, 0.1, 11);
-        let p = aic_pick_iq(&i, &q, 16).unwrap();
-        assert!((p.onset as i64 - 750).abs() <= 12, "got {}", p.onset);
-    }
-
-    #[test]
-    fn iq_rejects_mismatched_lengths() {
-        let i = vec![0.0; 100];
-        let q = vec![0.0; 90];
-        assert!(matches!(aic_pick_iq(&i, &q, 4), Err(DspError::InvalidWindow { .. })));
     }
 
     #[test]

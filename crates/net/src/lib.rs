@@ -19,14 +19,8 @@
 //!   SPSC commit handoff ([`ingest::CommitPipe`]);
 //! * [`export`] — turns a simulated fleet's [`UplinkDeliveries`] stream
 //!   into per-gateway wire streams (what each gateway would have sent);
-//! * [`loadgen`] — a thread-per-gateway load generator replaying those
-//!   streams against a live listener, measuring sustained throughput and
-//!   p50/p99/p999 ingest latency, with a JSON artifact for CI.
-//!
-//! The `loadgen` **binary** wires all of it together: simulate a fleet
-//! (optionally under the frame-delay attack), start an in-process
-//! listener, replay the traffic from N concurrent gateway sockets, and
-//! report.
+//! * [`loadgen`] — a thread-per-gateway lock-step client replaying
+//!   those streams against a live listener.
 //!
 //! [`Encoder`]: softlora_store::Encoder
 //! [`Decoder`]: softlora_store::Decoder
@@ -43,9 +37,6 @@ pub mod protocol;
 pub use export::gateway_streams;
 pub use ingest::{CommitPipe, CommitSink, CommitTelemetry, CopyHeader, Reassembler};
 pub use listener::{NetRunReport, NetServer, NetServerConfig};
-pub use loadgen::{
-    LatencySummary, LoadgenConfig, LoadgenReport, SweepPoint, SweepReport, SWEEP_P99_BUDGET_US,
-};
 pub use protocol::{
     decode_frame, encode_frame, Frame, NetCounters, PushData, ServerRole, WireBlockStats,
     WireDelivery, WireRuntime, WireStats, WireUplink,

@@ -1,309 +1,45 @@
-//! The fleet-scale load generator: N concurrent gateway sockets replaying
+//! A lock-step fleet replay client: N concurrent gateway sockets replaying
 //! a simulated fleet's traffic against a live listener.
 //!
 //! Each gateway runs on its own thread with its own UDP socket and plays
 //! its wire stream (from [`crate::gateway_streams`]) in lock-step: send a
 //! `PUSH_DATA` datagram, wait for the `PUSH_ACK`, retransmit on timeout.
 //! Lock-step bounds the fleet's in-flight datagrams at one per gateway —
-//! well under default socket buffers even at hundreds of gateways — and
-//! makes the send→ack round trip the natural per-datagram **ack
-//! latency** sample. Retransmissions double as organic duplicate traffic
-//! for the listener's dedup path.
+//! well under default socket buffers even at hundreds of gateways.
+//! Retransmissions double as organic duplicate traffic for the listener's
+//! dedup path.
 //!
-//! Since the listener commits off-thread (protocol version 3), every ack
-//! also carries the server's **committed watermark**, so the generator
-//! separately measures **end-to-end commit latency**: send time of a
-//! datagram until an ack proves its uplinks are committed. The two
-//! distributions answer different questions — ack latency is the wire
-//! round trip the poll thread controls; commit latency additionally
-//! includes the fleet watermark barrier and the commit worker's queue.
-//! Datagrams still uncommitted when a gateway's stream ends are resolved
-//! by polling keepalives until [`LoadgenConfig::commit_wait`] expires.
+//! Since the listener commits off-thread, every ack also carries the
+//! server's committed watermark. Once its stream ends, a gateway polls
+//! keepalives until that watermark covers its last uplink (bounded by a
+//! fixed wait), so a finished replay means the fleet's traffic is
+//! committed, not just acknowledged.
 //!
-//! The report carries sustained throughput plus p50/p90/p99/p999 blocks
-//! for both latencies and serialises itself to JSON for CI artifacts.
-//!
-//! Besides the closed-loop (lock-step) mode there is an **open-loop**
-//! mode ([`replay_fleet_open_loop`]): each gateway sends at a Poisson
-//! process of a configured offered rate, never waiting for acks, so the
-//! fleet keeps offering load whether or not the listener keeps up — the
-//! standard way to find a server's **saturation knee**. A rate sweep
-//! ([`SweepReport`]) replays the same stream at increasing offered rates
-//! and reports the last rate the listener sustained — sustained meaning
-//! p99 ingest latency within [`SWEEP_P99_BUDGET_US`], since in open
-//! loop the offered rate is met by construction and overload surfaces
-//! as queueing delay, not throughput shortfall.
+//! Throughput and latency under load are measured by the wire-to-verdict
+//! benchmark (`w2vbench/`), not here.
 
 use crate::export::gateway_streams;
 use crate::protocol::{decode_frame, encode_frame_into, Frame, PushData, WireUplink};
 use crate::NetError;
 use softlora_sim::UplinkDeliveries;
 use softlora_store::Encoder;
-use std::collections::VecDeque;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for a load run.
-#[derive(Debug, Clone)]
-pub struct LoadgenConfig {
-    /// Uplink copies packed into one `PUSH_DATA` datagram.
-    pub copies_per_datagram: usize,
-    /// How long a gateway waits for an ack before retransmitting.
-    pub ack_timeout: Duration,
-    /// Retransmissions per datagram before the gateway gives up.
-    pub max_retries: u32,
-    /// Optional pacing: minimum spacing between one gateway's datagrams.
-    /// `None` replays as fast as the ack loop allows.
-    pub datagram_interval: Option<Duration>,
-    /// After a gateway's stream ends, how long it keeps polling
-    /// keepalives for the commit watermark to cover its last uplinks
-    /// (end-to-end commit-latency samples). Datagrams still unresolved
-    /// at the deadline simply contribute no commit sample.
-    pub commit_wait: Duration,
-}
-
-impl Default for LoadgenConfig {
-    fn default() -> Self {
-        LoadgenConfig {
-            copies_per_datagram: 8,
-            ack_timeout: Duration::from_millis(250),
-            max_retries: 40,
-            datagram_interval: None,
-            commit_wait: Duration::from_secs(5),
-        }
-    }
-}
-
-/// Percentile summary of a per-datagram latency distribution (send→ack
-/// or send→committed).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct LatencySummary {
-    /// Samples (acknowledged datagrams).
-    pub count: u64,
-    /// Mean, microseconds.
-    pub mean_us: f64,
-    /// Median, microseconds.
-    pub p50_us: u64,
-    /// 90th percentile, microseconds.
-    pub p90_us: u64,
-    /// 99th percentile, microseconds.
-    pub p99_us: u64,
-    /// 99.9th percentile, microseconds.
-    pub p999_us: u64,
-    /// Worst sample, microseconds.
-    pub max_us: u64,
-}
-
-impl LatencySummary {
-    /// Summarises a raw sample set (consumed: sorted in place).
-    pub fn from_samples(mut samples_us: Vec<u64>) -> Self {
-        if samples_us.is_empty() {
-            return LatencySummary::default();
-        }
-        samples_us.sort_unstable();
-        let n = samples_us.len();
-        let pct = |p: f64| samples_us[(((n - 1) as f64) * p).round() as usize];
-        let sum: u64 = samples_us.iter().sum();
-        LatencySummary {
-            count: n as u64,
-            mean_us: sum as f64 / n as f64,
-            p50_us: pct(0.50),
-            p90_us: pct(0.90),
-            p99_us: pct(0.99),
-            p999_us: pct(0.999),
-            max_us: samples_us[n - 1],
-        }
-    }
-
-    /// Serialises the summary as a JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"mean\":{:.3},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{},\"max\":{}}}",
-            self.count, self.mean_us, self.p50_us, self.p90_us, self.p99_us, self.p999_us,
-            self.max_us,
-        )
-    }
-}
-
-/// What a finished load run measured.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadgenReport {
-    /// Concurrent gateway senders.
-    pub gateways: usize,
-    /// Uplink groups in the replayed stream.
-    pub uplinks: u64,
-    /// Copies (+ empty-group markers) put on the wire.
-    pub copies: u64,
-    /// Datagrams sent (excluding retransmissions).
-    pub datagrams: u64,
-    /// Retransmissions across the fleet.
-    pub retries: u64,
-    /// Wall-clock duration of the replay, seconds.
-    pub elapsed_s: f64,
-    /// Sustained uplink groups per second.
-    pub uplinks_per_s: f64,
-    /// Sustained copies per second.
-    pub copies_per_s: f64,
-    /// Wire round-trip (send→ack) percentiles — what the poll thread
-    /// alone controls.
-    pub ack_latency: LatencySummary,
-    /// End-to-end (send→committed) percentiles — additionally includes
-    /// the fleet watermark barrier and the commit worker's queue.
-    pub commit_latency: LatencySummary,
-}
-
-impl LoadgenReport {
-    /// Serialises the report as a JSON object (hand-rolled — the
-    /// workspace is dependency-free).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"gateways\":{},\"uplinks\":{},\"copies\":{},\"datagrams\":{},",
-                "\"retries\":{},\"elapsed_s\":{:.6},\"uplinks_per_s\":{:.3},",
-                "\"copies_per_s\":{:.3},\"ack_latency_us\":{},\"commit_latency_us\":{}}}"
-            ),
-            self.gateways,
-            self.uplinks,
-            self.copies,
-            self.datagrams,
-            self.retries,
-            self.elapsed_s,
-            self.uplinks_per_s,
-            self.copies_per_s,
-            self.ack_latency.to_json(),
-            self.commit_latency.to_json(),
-        )
-    }
-}
-
-/// What one gateway thread measured.
-struct GatewayRun {
-    latencies_us: Vec<u64>,
-    commit_latencies_us: Vec<u64>,
-    datagrams: u64,
-    retries: u64,
-    copies: u64,
-}
-
-/// Outstanding commit-latency samples: `(highest uplink id in the
-/// datagram, send time)`, pushed in send (= ascending uplink) order and
-/// popped from the front as the acked commit watermark passes them.
-type CommitPending = VecDeque<(u64, Instant)>;
-
-/// Resolves every pending entry the commit watermark now covers.
-fn pop_committed(pending: &mut CommitPending, committed: u64, run: &mut GatewayRun) {
-    while pending.front().is_some_and(|&(uplink, _)| uplink < committed) {
-        let (_, sent) = pending.pop_front().expect("front checked");
-        run.commit_latencies_us.push(u64::try_from(sent.elapsed().as_micros()).unwrap_or(u64::MAX));
-    }
-}
-
-/// One offered rate of a sweep: what was offered, what was sustained.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepPoint {
-    /// Offered uplink-group rate (fleet-wide Poisson), groups/s.
-    pub offered_per_s: f64,
-    /// Achieved committed-group rate, groups/s.
-    pub achieved_per_s: f64,
-    /// The full open-loop run behind the point.
-    pub report: LoadgenReport,
-}
-
-/// An open-loop rate sweep: the classic offered-vs-achieved curve plus
-/// the saturation knee.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepReport {
-    /// One point per offered rate, in sweep order.
-    pub points: Vec<SweepPoint>,
-    /// The highest offered rate the listener sustained; `None` when
-    /// even the lowest rate saturated. See [`SweepReport::from_points`]
-    /// for the criterion.
-    pub knee_per_s: Option<f64>,
-}
-
-/// The sustained-rate criterion: p99 **ack** latency at or under this
-/// budget. In an **open-loop** sweep the offered rate is met by
-/// construction (senders never wait), so saturation shows up not as a
-/// throughput shortfall but as queueing — acks lag, p99 ack latency
-/// explodes. 20 ms is an order of magnitude above the unloaded p99 on
-/// loopback and far below the blow-up past the knee. The knee
-/// deliberately stays on ack latency: commit latency includes the fleet
-/// watermark barrier, which dominates at *low* rates (groups wait for
-/// every gateway to advance), so a commit-latency criterion would read
-/// an idle fleet as saturated.
-pub const SWEEP_P99_BUDGET_US: u64 = 20_000;
-
-impl SweepReport {
-    /// Derives the knee from a finished point set: the last offered
-    /// rate (in sweep order, before the first saturated one) whose p99
-    /// ack latency stayed within [`SWEEP_P99_BUDGET_US`].
-    #[must_use]
-    pub fn from_points(points: Vec<SweepPoint>) -> Self {
-        let knee_per_s = points
-            .iter()
-            .take_while(|p| p.report.ack_latency.p99_us <= SWEEP_P99_BUDGET_US)
-            .last()
-            .map(|p| p.offered_per_s);
-        SweepReport { points, knee_per_s }
-    }
-
-    /// Serialises the sweep as a JSON object (hand-rolled — the
-    /// workspace is dependency-free).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"points\":[");
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"offered_per_s\":{:.3},\"achieved_per_s\":{:.3},\"run\":{}}}",
-                p.offered_per_s,
-                p.achieved_per_s,
-                p.report.to_json()
-            ));
-        }
-        out.push_str("],\"knee_per_s\":");
-        match self.knee_per_s {
-            Some(knee) => out.push_str(&format!("{knee:.3}")),
-            None => out.push_str("null"),
-        }
-        out.push('}');
-        out
-    }
-}
-
-/// A tiny deterministic xorshift64* stream for Poisson interarrival
-/// gaps — the load generator must not pull in an RNG dependency, and
-/// reproducible sweeps beat "real" randomness here.
-struct GapRng(u64);
-
-impl GapRng {
-    fn new(seed: u64) -> Self {
-        GapRng(seed.max(1))
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// An exponential gap with the given mean (inverse-CDF sampling).
-    fn exp_gap(&mut self, mean: Duration) -> Duration {
-        // Uniform in (0, 1]: never ln(0).
-        let u = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        let u = u.max(f64::MIN_POSITIVE);
-        mean.mul_f64(-u.ln())
-    }
-}
+/// Uplink copies packed into one `PUSH_DATA` datagram.
+const COPIES_PER_DATAGRAM: usize = 8;
+/// How long a gateway waits for an ack before retransmitting.
+const ACK_TIMEOUT: Duration = Duration::from_millis(250);
+/// Retransmissions per datagram before the gateway gives up.
+const MAX_RETRIES: u32 = 40;
+/// After a gateway's stream ends, how long it keeps polling keepalives
+/// for the commit watermark to cover its last uplink.
+const COMMIT_WAIT: Duration = Duration::from_secs(5);
 
 /// Replays a fleet group stream against a listener at `data_addr` from
-/// `gateway_count` concurrent sockets and reports throughput + latency.
+/// `gateway_count` concurrent lock-step sockets, and returns the number
+/// of uplink groups the listener acknowledged (each group's first copy,
+/// or its empty-group marker, counted once).
 ///
 /// # Errors
 ///
@@ -313,355 +49,87 @@ pub fn replay_fleet(
     groups: &[UplinkDeliveries],
     gateway_count: usize,
     data_addr: SocketAddr,
-    config: &LoadgenConfig,
-) -> Result<LoadgenReport, NetError> {
+) -> Result<usize, NetError> {
     let streams = gateway_streams(groups, gateway_count);
-    let started = Instant::now();
-    let runs: Vec<Result<GatewayRun, NetError>> = std::thread::scope(|scope| {
+    let runs: Vec<Result<usize, NetError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = streams
             .into_iter()
             .enumerate()
             .map(|(gateway, stream)| {
-                scope.spawn(move || run_gateway(gateway as u32, stream, data_addr, config))
+                scope.spawn(move || run_gateway(gateway as u32, stream, data_addr))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("gateway thread panicked")).collect()
     });
-    let elapsed_s = started.elapsed().as_secs_f64();
-    aggregate_runs(runs, groups.len() as u64, gateway_count, elapsed_s)
+    runs.into_iter().sum()
 }
 
-/// Folds per-gateway measurements into the fleet report.
-fn aggregate_runs(
-    runs: Vec<Result<GatewayRun, NetError>>,
-    uplinks: u64,
-    gateway_count: usize,
-    elapsed_s: f64,
-) -> Result<LoadgenReport, NetError> {
-    let mut latencies = Vec::new();
-    let mut commit_latencies = Vec::new();
-    let mut datagrams = 0u64;
-    let mut retries = 0u64;
-    let mut copies = 0u64;
-    for run in runs {
-        let run = run?;
-        latencies.extend(run.latencies_us);
-        commit_latencies.extend(run.commit_latencies_us);
-        datagrams += run.datagrams;
-        retries += run.retries;
-        copies += run.copies;
-    }
-    Ok(LoadgenReport {
-        gateways: gateway_count,
-        uplinks,
-        copies,
-        datagrams,
-        retries,
-        elapsed_s,
-        uplinks_per_s: uplinks as f64 / elapsed_s.max(1e-9),
-        copies_per_s: copies as f64 / elapsed_s.max(1e-9),
-        ack_latency: LatencySummary::from_samples(latencies),
-        commit_latency: LatencySummary::from_samples(commit_latencies),
-    })
-}
-
-/// Replays a fleet group stream **open-loop**: each gateway offers its
-/// datagrams on an independent Poisson process sized so the fleet-wide
-/// offered rate is `offered_per_s` uplink groups per second, never
-/// waiting for acks between datagrams. Acks are drained asynchronously
-/// for latency samples; only the final barrier-release keepalive is sent
-/// lock-step (so the listener's commit barrier always opens). Past the
-/// saturation knee the listener's queues grow, acks lag and the run
-/// stretches beyond the offered schedule — which is exactly the signal
-/// [`SweepReport`] detects.
-///
-/// Datagrams are **not** retransmitted (open loop): a drop under
-/// overload surfaces as an incomplete group at the listener, not as
-/// back-pressure on the generator.
-///
-/// # Errors
-///
-/// Socket failures, or [`NetError::AckTimeout`] when the final
-/// barrier-release keepalive is never acknowledged.
-pub fn replay_fleet_open_loop(
-    groups: &[UplinkDeliveries],
-    gateway_count: usize,
-    data_addr: SocketAddr,
-    config: &LoadgenConfig,
-    offered_per_s: f64,
-    seed: u64,
-) -> Result<LoadgenReport, NetError> {
-    let streams = gateway_streams(groups, gateway_count);
-    let target_s = groups.len() as f64 / offered_per_s.max(1e-9);
-    let started = Instant::now();
-    let runs: Vec<Result<GatewayRun, NetError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = streams
-            .into_iter()
-            .enumerate()
-            .map(|(gateway, stream)| {
-                let gw_seed = seed ^ (gateway as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                scope.spawn(move || {
-                    run_gateway_open_loop(
-                        gateway as u32,
-                        stream,
-                        data_addr,
-                        config,
-                        target_s,
-                        gw_seed,
-                    )
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("gateway thread panicked")).collect()
-    });
-    let elapsed_s = started.elapsed().as_secs_f64();
-    aggregate_runs(runs, groups.len() as u64, gateway_count, elapsed_s)
-}
-
-/// One gateway's open-loop (Poisson-paced, no ack wait) replay loop.
-fn run_gateway_open_loop(
-    gateway: u32,
-    stream: Vec<WireUplink>,
-    data_addr: SocketAddr,
-    config: &LoadgenConfig,
-    target_s: f64,
-    seed: u64,
-) -> Result<GatewayRun, NetError> {
-    let socket = UdpSocket::bind("127.0.0.1:0")?;
-    socket.connect(data_addr)?;
-    socket.set_nonblocking(true)?;
-
-    let mut run = GatewayRun {
-        latencies_us: Vec::new(),
-        commit_latencies_us: Vec::new(),
-        datagrams: 0,
-        retries: 0,
-        copies: 0,
-    };
-    let mut scratch = Encoder::new();
-    let mut rng = GapRng::new(seed);
-    let chunk_size = config.copies_per_datagram.max(1);
-    let chunks: Vec<&[WireUplink]> = stream.chunks(chunk_size).collect();
-    let mean = Duration::from_secs_f64(target_s / chunks.len().max(1) as f64);
-    let mut sent_at: std::collections::HashMap<u64, Instant> = std::collections::HashMap::new();
-    let mut commit_pending: CommitPending = CommitPending::new();
-
-    let mut next_send = Instant::now();
-    for (k, chunk) in chunks.iter().enumerate() {
-        let watermark = chunks.get(k + 1).map_or(u64::MAX, |next| next[0].uplink);
-        let seq = k as u64;
-        let frame = Frame::PushData(PushData { gateway, seq, watermark, uplinks: chunk.to_vec() });
-        next_send += rng.exp_gap(mean);
-        loop {
-            drain_acks(&socket, &mut sent_at, &mut commit_pending, &mut run)?;
-            let now = Instant::now();
-            if now >= next_send {
-                break;
-            }
-            std::thread::sleep((next_send - now).min(Duration::from_millis(1)));
-        }
-        scratch.clear();
-        encode_frame_into(&frame, &mut scratch);
-        let sent = Instant::now();
-        sent_at.insert(seq, sent);
-        if let Some(last) = chunk.last() {
-            commit_pending.push_back((last.uplink, sent));
-        }
-        socket.send(scratch.as_bytes())?;
-        run.datagrams += 1;
-        run.copies += chunk.len() as u64;
-    }
-
-    // Release the fleet barrier reliably: one lock-step keepalive with
-    // the full-release watermark (duplicate-safe whether or not the last
-    // data datagram survived).
-    socket.set_nonblocking(false)?;
-    socket.set_read_timeout(Some(config.ack_timeout))?;
-    let final_seq = chunks.len() as u64;
-    let release = Frame::PullData { gateway, seq: final_seq, watermark: u64::MAX };
-    let committed =
-        send_acked(&socket, &mut scratch, &release, gateway, final_seq, config, &mut run)?;
-    pop_committed(&mut commit_pending, committed, &mut run);
-
-    // One more timeout window for straggling data acks (their latency
-    // samples are the interesting ones near saturation).
-    socket.set_nonblocking(true)?;
-    let deadline = Instant::now() + config.ack_timeout;
-    while !sent_at.is_empty() && Instant::now() < deadline {
-        drain_acks(&socket, &mut sent_at, &mut commit_pending, &mut run)?;
-        std::thread::sleep(Duration::from_micros(200));
-    }
-
-    // Resolve the commit tail: poll keepalives until the commit
-    // watermark covers everything this gateway sent (or the budget
-    // runs out — under overload the unresolved tail is the finding).
-    socket.set_nonblocking(false)?;
-    resolve_commits(
-        &socket,
-        &mut scratch,
-        gateway,
-        final_seq + 1,
-        config,
-        &mut commit_pending,
-        &mut run,
-    )?;
-    Ok(run)
-}
-
-/// Drains every ack currently queued on a non-blocking socket, matching
-/// them to outstanding send times for ack-latency samples and advancing
-/// the commit-latency queue with the acked watermark.
-fn drain_acks(
-    socket: &UdpSocket,
-    sent_at: &mut std::collections::HashMap<u64, Instant>,
-    commit_pending: &mut CommitPending,
-    run: &mut GatewayRun,
-) -> Result<(), NetError> {
-    let mut buf = [0u8; 256];
-    loop {
-        match socket.recv(&mut buf) {
-            Ok(len) => {
-                if let Ok(
-                    Frame::PushAck { seq, committed, .. } | Frame::PullAck { seq, committed, .. },
-                ) = decode_frame(&buf[..len])
-                {
-                    if let Some(sent) = sent_at.remove(&seq) {
-                        run.latencies_us
-                            .push(u64::try_from(sent.elapsed().as_micros()).unwrap_or(u64::MAX));
-                    }
-                    pop_committed(commit_pending, committed, run);
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Ok(());
-            }
-            Err(e) => return Err(NetError::Io(e)),
-        }
-    }
-}
-
-/// Polls lock-step keepalives (on a blocking socket) until the commit
-/// watermark covers every pending datagram or
-/// [`LoadgenConfig::commit_wait`] expires.
-fn resolve_commits(
-    socket: &UdpSocket,
-    scratch: &mut Encoder,
-    gateway: u32,
-    mut seq: u64,
-    config: &LoadgenConfig,
-    commit_pending: &mut CommitPending,
-    run: &mut GatewayRun,
-) -> Result<(), NetError> {
-    let deadline = Instant::now() + config.commit_wait;
-    while !commit_pending.is_empty() && Instant::now() < deadline {
-        let frame = Frame::PullData { gateway, seq, watermark: u64::MAX };
-        let committed = send_acked(socket, scratch, &frame, gateway, seq, config, run)?;
-        seq += 1;
-        pop_committed(commit_pending, committed, run);
-        if !commit_pending.is_empty() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-    Ok(())
-}
-
-/// One gateway's lock-step replay loop.
+/// One gateway's lock-step replay loop. Returns how many groups it
+/// acknowledged the first copy (or marker) of.
 fn run_gateway(
     gateway: u32,
     stream: Vec<WireUplink>,
     data_addr: SocketAddr,
-    config: &LoadgenConfig,
-) -> Result<GatewayRun, NetError> {
+) -> Result<usize, NetError> {
     let socket = UdpSocket::bind("127.0.0.1:0")?;
     socket.connect(data_addr)?;
-    socket.set_read_timeout(Some(config.ack_timeout))?;
+    socket.set_read_timeout(Some(ACK_TIMEOUT))?;
 
-    let mut run = GatewayRun {
-        latencies_us: Vec::new(),
-        commit_latencies_us: Vec::new(),
-        datagrams: 0,
-        retries: 0,
-        copies: 0,
-    };
     let mut scratch = Encoder::new();
     let mut seq = 0u64;
-    let mut next_send = Instant::now();
-    let mut commit_pending: CommitPending = CommitPending::new();
-
-    let chunk_size = config.copies_per_datagram.max(1);
-    let chunks: Vec<&[WireUplink]> = stream.chunks(chunk_size).collect();
+    let mut committed = 0u64;
+    let mut first_copies = 0usize;
+    let chunks: Vec<&[WireUplink]> = stream.chunks(COPIES_PER_DATAGRAM).collect();
     for (k, chunk) in chunks.iter().enumerate() {
         // Promise everything strictly below the next chunk's first id;
         // the final chunk releases the whole stream.
-        let watermark = match chunks.get(k + 1) {
-            Some(next) => next[0].uplink,
-            None => u64::MAX,
-        };
+        let watermark = chunks.get(k + 1).map_or(u64::MAX, |next| next[0].uplink);
         let frame = Frame::PushData(PushData { gateway, seq, watermark, uplinks: chunk.to_vec() });
-        if let Some(interval) = config.datagram_interval {
-            let now = Instant::now();
-            if next_send > now {
-                std::thread::sleep(next_send - now);
-            }
-            next_send = next_send.max(now) + interval;
-        }
-        let sent = Instant::now();
-        if let Some(last) = chunk.last() {
-            commit_pending.push_back((last.uplink, sent));
-        }
-        let committed = send_acked(&socket, &mut scratch, &frame, gateway, seq, config, &mut run)?;
-        pop_committed(&mut commit_pending, committed, &mut run);
-        run.copies += chunk.len() as u64;
+        committed = send_acked(&socket, &mut scratch, &frame, gateway, seq)?;
+        first_copies += chunk.iter().filter(|u| u.copy_index == 0).count();
         seq += 1;
     }
     if chunks.is_empty() {
         // A silent gateway still has to release the fleet barrier.
         let frame = Frame::PullData { gateway, seq, watermark: u64::MAX };
-        send_acked(&socket, &mut scratch, &frame, gateway, seq, config, &mut run)?;
+        send_acked(&socket, &mut scratch, &frame, gateway, seq)?;
+        return Ok(0);
+    }
+
+    // Wait (bounded) until the commit watermark covers the last uplink.
+    let last_uplink = stream.last().map_or(0, |u| u.uplink);
+    let deadline = Instant::now() + COMMIT_WAIT;
+    while committed <= last_uplink && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+        let frame = Frame::PullData { gateway, seq, watermark: u64::MAX };
+        committed = send_acked(&socket, &mut scratch, &frame, gateway, seq)?;
         seq += 1;
     }
-    // Resolve the commit tail before reporting (bounded by commit_wait).
-    resolve_commits(&socket, &mut scratch, gateway, seq, config, &mut commit_pending, &mut run)?;
-    Ok(run)
+    Ok(first_copies)
 }
 
 /// Sends one datagram and blocks until its ack, retransmitting on
-/// timeout. Records the send→ack latency and returns the commit
-/// watermark the matching ack carried.
+/// timeout. Returns the commit watermark the matching ack carried.
 fn send_acked(
     socket: &UdpSocket,
     scratch: &mut Encoder,
     frame: &Frame,
     gateway: u32,
     seq: u64,
-    config: &LoadgenConfig,
-    run: &mut GatewayRun,
 ) -> Result<u64, NetError> {
     scratch.clear();
     encode_frame_into(frame, scratch);
-    let started = Instant::now();
     let mut buf = [0u8; 256];
-    for attempt in 0..=config.max_retries {
-        if attempt > 0 {
-            run.retries += 1;
-        }
+    for _ in 0..=MAX_RETRIES {
         socket.send(scratch.as_bytes())?;
-        let deadline = Instant::now() + config.ack_timeout;
+        let deadline = Instant::now() + ACK_TIMEOUT;
         loop {
             match socket.recv(&mut buf) {
                 Ok(len) => match decode_frame(&buf[..len]) {
                     Ok(
                         Frame::PushAck { gateway: g, seq: s, committed }
                         | Frame::PullAck { gateway: g, seq: s, committed },
-                    ) if g == gateway && s == seq => {
-                        run.datagrams += 1;
-                        run.latencies_us
-                            .push(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
-                        return Ok(committed);
-                    }
+                    ) if g == gateway && s == seq => return Ok(committed),
                     // A stale ack (earlier retransmission) or noise:
                     // keep listening until the deadline.
                     _ => {}
@@ -680,91 +148,4 @@ fn send_acked(
         }
     }
     Err(NetError::AckTimeout { gateway, seq })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn latency_summary_percentiles() {
-        let samples: Vec<u64> = (1..=1000).collect();
-        let s = LatencySummary::from_samples(samples);
-        assert_eq!(s.count, 1000);
-        // Index (n-1)*0.5 = 499.5 rounds half-away-from-zero to 500.
-        assert_eq!(s.p50_us, 501);
-        assert_eq!(s.p99_us, 990);
-        assert_eq!(s.max_us, 1000);
-    }
-
-    #[test]
-    fn sweep_knee_is_the_last_sustained_rate() {
-        let run = LoadgenReport {
-            gateways: 1,
-            uplinks: 10,
-            copies: 10,
-            datagrams: 10,
-            retries: 0,
-            elapsed_s: 1.0,
-            uplinks_per_s: 10.0,
-            copies_per_s: 10.0,
-            ack_latency: LatencySummary::default(),
-            commit_latency: LatencySummary::default(),
-        };
-        let point = |offered: f64, p99_us: u64| SweepPoint {
-            offered_per_s: offered,
-            achieved_per_s: offered,
-            report: LoadgenReport {
-                ack_latency: LatencySummary { p99_us, ..LatencySummary::default() },
-                ..run.clone()
-            },
-        };
-        // Ack p99 stays in budget at 100 and 200, explodes at 400.
-        let sweep = SweepReport::from_points(vec![
-            point(100.0, 900),
-            point(200.0, SWEEP_P99_BUDGET_US),
-            point(400.0, 48_000),
-        ]);
-        assert_eq!(sweep.knee_per_s, Some(200.0));
-        let json = sweep.to_json();
-        assert!(json.contains("\"knee_per_s\":200.000"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-
-        // Saturated from the first point: no knee.
-        let sweep = SweepReport::from_points(vec![point(100.0, SWEEP_P99_BUDGET_US + 1)]);
-        assert_eq!(sweep.knee_per_s, None);
-        assert!(sweep.to_json().contains("\"knee_per_s\":null"));
-    }
-
-    #[test]
-    fn poisson_gaps_have_the_requested_mean() {
-        let mut rng = GapRng::new(21);
-        let mean = Duration::from_micros(500);
-        let n = 20_000;
-        let total: Duration = (0..n).map(|_| rng.exp_gap(mean)).sum();
-        let observed_us = total.as_secs_f64() * 1e6 / f64::from(n);
-        assert!((observed_us - 500.0).abs() < 25.0, "mean gap {observed_us:.1} µs");
-    }
-
-    #[test]
-    fn report_json_is_well_formed() {
-        let report = LoadgenReport {
-            gateways: 4,
-            uplinks: 100,
-            copies: 400,
-            datagrams: 50,
-            retries: 1,
-            elapsed_s: 0.5,
-            uplinks_per_s: 200.0,
-            copies_per_s: 800.0,
-            ack_latency: LatencySummary::from_samples(vec![10, 20, 30]),
-            commit_latency: LatencySummary::from_samples(vec![100, 200, 300]),
-        };
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"ack_latency_us\":"));
-        assert!(json.contains("\"commit_latency_us\":"));
-        assert!(json.contains("\"p999\":"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
 }

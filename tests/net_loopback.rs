@@ -7,7 +7,7 @@
 
 use softlora_repro::attack::FrameDelayAttack;
 use softlora_repro::net::listener::{NetServer, NetServerConfig};
-use softlora_repro::net::loadgen::{replay_fleet, LoadgenConfig};
+use softlora_repro::net::loadgen::replay_fleet;
 use softlora_repro::net::protocol::{
     decode_frame, encode_frame, Frame, PushData, WireDelivery, WireUplink,
 };
@@ -166,9 +166,8 @@ fn loopback_fleet_matches_batch_bit_for_bit() {
     inject.send(&bad_version).expect("bad version");
 
     // The legitimate fleet replay.
-    let report = replay_fleet(&groups, GATEWAYS, data_addr, &LoadgenConfig::default())
-        .expect("fleet replay");
-    assert_eq!(report.uplinks, groups.len() as u64);
+    let replayed = replay_fleet(&groups, GATEWAYS, data_addr).expect("fleet replay");
+    assert_eq!(replayed, groups.len());
 
     // Give the poll loop a moment to commit everything (all watermarks
     // are at u64::MAX now), then inject duplicate / out-of-order / stale

@@ -2,8 +2,9 @@
 //! gateway + network-server stack emits **bit-for-bit** the same verdicts
 //! as the batch path on a pinned fleet scenario — including an attack
 //! phase — and loses no uplink at shutdown. The sequential tail runs on
-//! 3 worker threads and the sharded tail on 4, so items cross threads
-//! at every ring hop without changing a single verdict.
+//! 3 worker threads and the sharded tail on 1, 2 and 4 (the 2-worker run
+//! persisted), so items cross threads at every ring hop without changing
+//! a single verdict.
 
 use softlora_repro::attack::FrameDelayAttack;
 use softlora_repro::phy::{PhyConfig, SpreadingFactor};
@@ -12,7 +13,9 @@ use softlora_repro::sim::{
     FleetDeployment, FrameSource, HonestChannel, Position, Scenario, UplinkDeliveries,
 };
 use softlora_repro::softlora::network_server::ServerObserver;
-use softlora_repro::softlora::{NetworkServer, ServerStats, ServerVerdict};
+use softlora_repro::softlora::{fsck_store, NetworkServer, ServerStats, ServerVerdict};
+use softlora_repro::store::test_dir;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 const GATEWAYS: usize = 2;
@@ -49,7 +52,11 @@ fn pinned_scenario() -> Scenario {
     scenario
 }
 
-fn build_server_sharded(scenario: &Scenario, shards: usize) -> NetworkServer {
+fn build_server_sharded(
+    scenario: &Scenario,
+    shards: usize,
+    persist: Option<&Path>,
+) -> NetworkServer {
     let mut builder = NetworkServer::builder(phy())
         .adc_quantisation(false)
         .warmup_frames(2)
@@ -60,11 +67,14 @@ fn build_server_sharded(scenario: &Scenario, shards: usize) -> NetworkServer {
         let cfg = scenario.device_config(k).clone();
         builder = builder.provision(cfg.dev_addr, cfg.keys);
     }
+    if let Some(dir) = persist {
+        builder = builder.with_persistence(dir);
+    }
     builder.build()
 }
 
 fn build_server(scenario: &Scenario) -> NetworkServer {
-    build_server_sharded(scenario, 1)
+    build_server_sharded(scenario, 1, None)
 }
 
 /// Observer collecting every committed verdict — the streaming path's
@@ -164,58 +174,76 @@ fn sharded_flowgraph_matches_batch_bit_for_bit() {
     scenario.run(2600.0, |u| groups.push(u.clone()));
 
     // Batch path with the same shard count.
-    let mut batch_server = build_server_sharded(&pinned_scenario(), SHARDS);
+    let mut batch_server = build_server_sharded(&pinned_scenario(), SHARDS, None);
     let batch_verdicts = batch_server.process_batch(&groups).expect("batch pipeline");
     let batch_stats = batch_server.stats();
     let batch_detection = batch_server.detection_stats();
 
-    // Streaming path with the tail parallelised INSIDE the flowgraph:
-    // source → per-gateway fronts → shard router → per-shard sinks.
-    let stream_observer = Arc::new(Mutex::new(Collect::default()));
-    let mut server = build_server_sharded(&pinned_scenario(), SHARDS);
-    server.attach_observer(Box::new(Arc::clone(&stream_observer)));
-    let (fronts, router, sinks) = server.into_sharded_streaming();
-    assert_eq!(fronts.len(), GATEWAYS);
-    assert_eq!(sinks.len(), SHARDS);
+    for workers in [1, 2, 4] {
+        // The 2-worker run persists: each shard sink flushes its WAL when
+        // the flowgraph finishes.
+        let dir = (workers == 2).then(|| test_dir("sharded-flowgraph"));
 
-    let runtime_stats = Arc::new(RuntimeStats::new());
-    let mut b = FlowgraphBuilder::new();
-    b.observer(Arc::clone(&runtime_stats) as _);
-    let src = b.source(FrameSource::from_groups(groups.clone()));
-    let parts: Vec<_> = fronts.into_iter().map(|front| b.stage(src, front)).collect();
-    let routed = b.merge(&parts, router);
-    for sink in sinks {
-        b.sink(&[routed], sink);
+        // Streaming path with the tail parallelised INSIDE the flowgraph:
+        // source → per-gateway fronts → shard router → per-shard sinks.
+        let stream_observer = Arc::new(Mutex::new(Collect::default()));
+        let mut server = build_server_sharded(&pinned_scenario(), SHARDS, dir.as_deref());
+        server.attach_observer(Box::new(Arc::clone(&stream_observer)));
+        let (fronts, router, sinks) = server.into_sharded_streaming();
+        assert_eq!(fronts.len(), GATEWAYS);
+        assert_eq!(sinks.len(), SHARDS);
+
+        let runtime_stats = Arc::new(RuntimeStats::new());
+        let mut b = FlowgraphBuilder::new();
+        b.observer(Arc::clone(&runtime_stats) as _);
+        let src = b.source(FrameSource::from_groups(groups.clone()));
+        let parts: Vec<_> = fronts.into_iter().map(|front| b.stage(src, front)).collect();
+        let routed = b.merge(&parts, router);
+        for sink in sinks {
+            b.sink(&[routed], sink);
+        }
+        let report = Scheduler::new(workers).run(b.build().expect("valid flowgraph"));
+
+        // 1. Per-uplink verdicts are bit-for-bit the batch path's. Shard
+        //    sinks commit concurrently, so the observer sees them in
+        //    cross-shard commit order — compare keyed by uplink id.
+        let streamed = stream_observer.lock().unwrap();
+        assert_eq!(
+            streamed.verdicts.len(),
+            batch_verdicts.len(),
+            "no uplink lost at shutdown ({workers} workers)"
+        );
+        let mut by_uplink: Vec<(u64, ServerVerdict)> = streamed.verdicts.clone();
+        by_uplink.sort_by_key(|(uplink, _)| *uplink);
+        for ((uplink, verdict), (group, expected)) in
+            by_uplink.iter().zip(groups.iter().zip(batch_verdicts.iter()))
+        {
+            assert_eq!(uplink, &group.uplink);
+            assert_eq!(verdict, expected, "uplink {uplink} ({workers} workers)");
+        }
+
+        // 2. Final statistics are exact: the observer hub accumulates every
+        //    shard's deltas, so the last on_stats snapshot is the total.
+        assert_eq!(streamed.last_stats, Some(batch_stats), "{workers} workers");
+        assert!(batch_detection.true_positives > 0, "{batch_detection:?}");
+
+        // 3. Runtime accounting: the router consumed every gateway part and
+        //    the shard sinks jointly drained every routed group.
+        let n = groups.len() as u64;
+        let router_report = report.block("shard-router").unwrap();
+        assert_eq!(router_report.items_in, n * GATEWAYS as u64);
+        assert_eq!(router_report.items_out, n);
+        let sunk: u64 =
+            (0..SHARDS).map(|s| report.block(&format!("shard-sink-{s}")).unwrap().items_in).sum();
+        assert_eq!(sunk, n);
+        assert_eq!(runtime_stats.finished_blocks(), (GATEWAYS + 2 + SHARDS) as u64);
+
+        // 4. The persisted run left a store whose statistics are the
+        //    batch path's.
+        if let Some(dir) = dir {
+            let store = fsck_store(&dir).expect("fsck the streamed store");
+            assert_eq!(store.stats(), batch_stats);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
-    let report = Scheduler::new(4).run(b.build().expect("valid flowgraph"));
-
-    // 1. Per-uplink verdicts are bit-for-bit the batch path's. Shard
-    //    sinks commit concurrently, so the observer sees them in
-    //    cross-shard commit order — compare keyed by uplink id.
-    let streamed = stream_observer.lock().unwrap();
-    assert_eq!(streamed.verdicts.len(), batch_verdicts.len(), "no uplink lost at shutdown");
-    let mut by_uplink: Vec<(u64, ServerVerdict)> = streamed.verdicts.clone();
-    by_uplink.sort_by_key(|(uplink, _)| *uplink);
-    for ((uplink, verdict), (group, expected)) in
-        by_uplink.iter().zip(groups.iter().zip(batch_verdicts.iter()))
-    {
-        assert_eq!(uplink, &group.uplink);
-        assert_eq!(verdict, expected, "uplink {uplink}");
-    }
-
-    // 2. Final statistics are exact: the observer hub accumulates every
-    //    shard's deltas, so the last on_stats snapshot is the total.
-    assert_eq!(streamed.last_stats, Some(batch_stats));
-    assert!(batch_detection.true_positives > 0, "{batch_detection:?}");
-
-    // 3. Runtime accounting: the router consumed every gateway part and
-    //    the shard sinks jointly drained every routed group.
-    let n = groups.len() as u64;
-    let router_report = report.block("shard-router").unwrap();
-    assert_eq!(router_report.items_in, n * GATEWAYS as u64);
-    assert_eq!(router_report.items_out, n);
-    let sunk: u64 =
-        (0..SHARDS).map(|s| report.block(&format!("shard-sink-{s}")).unwrap().items_in).sum();
-    assert_eq!(sunk, n);
-    assert_eq!(runtime_stats.finished_blocks(), (GATEWAYS + 2 + SHARDS) as u64);
 }

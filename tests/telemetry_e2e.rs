@@ -4,18 +4,21 @@
 //! registry holding at least one series from each layer — core stage
 //! latency, store WAL append, runtime block throughput, net datagram
 //! counters — and a `METRICS_REQ` over the ctrl socket must return that
-//! snapshot intact, alongside the `STATS_RESP` runtime section.
+//! snapshot intact, alongside the `STATS_RESP` runtime section. Counters
+//! never go backwards between two scrapes, and the store the wire path
+//! persisted passes `fsck_store` with the server's own statistics.
 
 use softlora_repro::attack::FrameDelayAttack;
 use softlora_repro::net::listener::{NetServer, NetServerConfig};
-use softlora_repro::net::loadgen::{replay_fleet, LoadgenConfig};
+use softlora_repro::net::loadgen::replay_fleet;
 use softlora_repro::net::protocol::{decode_frame, encode_frame, Frame};
 use softlora_repro::phy::{PhyConfig, SpreadingFactor};
 use softlora_repro::runtime::{FlowgraphBuilder, RuntimeStats, Scheduler};
 use softlora_repro::sim::{
     FleetDeployment, FrameSource, HonestChannel, Position, Scenario, UplinkDeliveries,
 };
-use softlora_repro::softlora::NetworkServer;
+use softlora_repro::softlora::{fsck_store, NetworkServer};
+use softlora_repro::telemetry::RegistrySnapshot;
 use std::net::UdpSocket;
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,6 +26,19 @@ use std::time::Duration;
 const GATEWAYS: usize = 4;
 const LOUD: usize = 2;
 const DEVICES: usize = 2;
+
+/// One `METRICS_REQ` round trip over the ctrl socket.
+fn scrape(ctrl: &UdpSocket, buf: &mut [u8], token: u64) -> RegistrySnapshot {
+    ctrl.send(&encode_frame(&Frame::MetricsReq { token })).expect("metrics req");
+    let len = ctrl.recv(buf).expect("metrics resp");
+    let Frame::MetricsResp { token: echoed, snapshot } =
+        decode_frame(&buf[..len]).expect("metrics frame")
+    else {
+        panic!("expected METRICS_RESP");
+    };
+    assert_eq!(echoed, token);
+    snapshot
+}
 
 fn phy() -> PhyConfig {
     PhyConfig::uplink(SpreadingFactor::Sf7)
@@ -110,24 +126,37 @@ fn metrics_scrape_covers_every_layer() {
     let ctrl_addr = net.ctrl_addr().expect("ctrl addr");
     let listener = std::thread::spawn(move || net.run());
 
-    let loadgen = replay_fleet(&groups, GATEWAYS, data_addr, &LoadgenConfig::default())
-        .expect("fleet replay");
-    assert_eq!(loadgen.uplinks, groups.len() as u64);
+    let ctrl = UdpSocket::bind("127.0.0.1:0").expect("ctrl socket");
+    ctrl.connect(ctrl_addr).expect("connect ctrl");
+    ctrl.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    let mut buf = vec![0u8; 65_535];
+    let before = scrape(&ctrl, &mut buf, 40);
+
+    let replayed = replay_fleet(&groups, GATEWAYS, data_addr).expect("fleet replay");
+    assert_eq!(replayed, groups.len());
     // Let the poll loop commit the tail before scraping.
     std::thread::sleep(Duration::from_millis(200));
 
     // The wire scrape: one METRICS_REQ, one full registry snapshot back.
-    let ctrl = UdpSocket::bind("127.0.0.1:0").expect("ctrl socket");
-    ctrl.connect(ctrl_addr).expect("connect ctrl");
-    ctrl.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
-    ctrl.send(&encode_frame(&Frame::MetricsReq { token: 41 })).expect("metrics req");
-    let mut buf = vec![0u8; 65_535];
-    let len = ctrl.recv(&mut buf).expect("metrics resp");
-    let Frame::MetricsResp { token, snapshot } = decode_frame(&buf[..len]).expect("metrics frame")
-    else {
-        panic!("expected METRICS_RESP");
-    };
-    assert_eq!(token, 41);
+    let snapshot = scrape(&ctrl, &mut buf, 41);
+
+    // Counters only ever go up: every counter of the first scrape is in
+    // the second with a value at least as large.
+    for series in &before.series {
+        let Some(earlier) = series.value.as_counter() else { continue };
+        let labels: Vec<(&str, &str)> =
+            series.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        let later = snapshot.find_with(&series.name, &labels).and_then(|s| s.value.as_counter());
+        assert!(
+            later.is_some_and(|later| later >= earlier),
+            "counter {} went {earlier} -> {later:?} between scrapes",
+            series.key()
+        );
+    }
+    assert!(
+        snapshot.counter_sum("net_datagrams_total") > before.counter_sum("net_datagrams_total"),
+        "the replay's datagrams must show between the two scrapes"
+    );
 
     // One series from every layer, over the wire.
     for (layer, family) in [
@@ -190,5 +219,14 @@ fn metrics_scrape_covers_every_layer() {
     let _ = ctrl.recv(&mut buf).expect("shutdown ack");
     let run = listener.join().expect("listener thread").expect("listener run");
     assert_eq!(run.counters.groups_committed, groups.len() as u64);
+
+    // The store the wire path persisted passes fsck with the server's
+    // own statistics and no torn tail.
+    run.server.sync_persistence().expect("sync persistence");
+    let store = fsck_store(&persist_dir).expect("fsck the wire path's store");
+    assert_eq!(store.stats(), run.server.stats());
+    for shard in &store.shards {
+        assert!(!shard.dropped_torn_tail, "shard {} has a torn tail", shard.shard);
+    }
     let _ = std::fs::remove_dir_all(&persist_dir);
 }
