@@ -898,6 +898,12 @@ impl NetworkServer {
         self.tail.shards.len()
     }
 
+    /// Number of DSP arenas, so of workers one `process_batch` call
+    /// spreads its copies over.
+    pub fn fan_out_width(&self) -> usize {
+        self.arenas.len()
+    }
+
     /// The durable store's directory, when persistence is enabled.
     pub fn persistence_dir(&self) -> Option<&Path> {
         self.tail.store.as_deref().map(ShardedStore::dir)

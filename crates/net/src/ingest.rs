@@ -16,14 +16,20 @@
 //!   tests), publishing the committed watermark back through a shared
 //!   atomic so acks can carry it.
 //!
-//! Admission is two commit batches deep. The worker commits at most
-//! [`COMMIT_BATCH`] groups per call, and the ring holds
-//! [`HANDOFF_CAPACITY`] = 2 × [`COMMIT_BATCH`], so at most
-//! `HANDOFF_CAPACITY + COMMIT_BATCH` groups are offered but not yet
-//! committed. By Little's law a group then waits at most that many
-//! groups divided by the commit throughput between handoff and commit:
-//! ≈ 64 ms at 3000 groups/s. A full ring stalls the poll thread, which
-//! parks until the worker frees a batch (counted, never unbounded
+//! Admission is two commit quanta deep, and the quantum is sized to the
+//! sink's fan-out. A [`CommitSink`] reports how many workers one
+//! [`CommitSink::commit`] call spreads its groups over (the server's DSP
+//! arena count), and [`commit_quantum`] turns that width into the most
+//! groups one call commits: four per worker, so every arena gets work
+//! without a group queueing behind other groups' DSP, capped at
+//! [`MAX_COMMIT_QUANTUM`]. The worker pops at most one quantum per call
+//! and [`CommitPipe::offer`] treats two quanta in the
+//! [`HANDOFF_CAPACITY`]-slot ring as full, so at most three quanta are
+//! offered but not yet committed: 24 groups on a 2-arena server. By
+//! Little's law a group then waits at most that many groups divided by
+//! the commit throughput between handoff and commit: ≈ 8 ms at 3000
+//! groups/s. A full ring stalls the poll thread, which
+//! parks until the worker frees a quantum (counted, never unbounded
 //! memory), so the excess waits in the senders' unacked windows instead
 //! of in the server. A commit failure abandons the ring so the poll
 //! thread's offers degrade to counted drops instead of wedging the socket
@@ -49,15 +55,22 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
-/// Most groups one commit batch holds: the worker pops at most this many
-/// per [`CommitSink::commit`], and the listener releases groups to the
-/// worker as soon as this many are ready.
-pub const COMMIT_BATCH: usize = 64;
-
 /// Handoff/recycle ring capacity (groups in flight between the poll
-/// thread and the commit worker): two commit batches, one being filled
-/// while the worker commits the other.
-pub const HANDOFF_CAPACITY: usize = 2 * COMMIT_BATCH;
+/// thread and the commit worker): the ceiling on two commit quanta, one
+/// being filled while the worker commits the other.
+pub const HANDOFF_CAPACITY: usize = 128;
+
+/// The largest commit quantum, whatever the sink's width: two of them
+/// fill the handoff ring.
+pub const MAX_COMMIT_QUANTUM: usize = HANDOFF_CAPACITY / 2;
+
+/// Groups per commit call for a sink fanning each call out over `width`
+/// workers: four per worker, capped at [`MAX_COMMIT_QUANTUM`]. Fewer
+/// leaves workers idle at the join; more only lengthens the queue a
+/// group waits in before its own DSP starts.
+pub fn commit_quantum(width: usize) -> usize {
+    (4 * width.max(1)).min(MAX_COMMIT_QUANTUM)
+}
 
 /// How long either side of the pipe parks before re-checking the ring:
 /// the commit worker on an empty ring, the poll thread on a full one.
@@ -431,6 +444,14 @@ pub trait CommitSink: Send {
         groups: &[UplinkDeliveries],
         verdicts: &mut Vec<ServerVerdict>,
     ) -> Result<(), NetError>;
+
+    /// How many workers one [`CommitSink::commit`] call spreads its
+    /// groups over; the pipe sizes its quantum from it
+    /// ([`commit_quantum`]). A sink that commits on the calling thread
+    /// alone keeps the default of one.
+    fn width(&self) -> usize {
+        1
+    }
 }
 
 /// The production sink: a shared [`softlora::NetworkServer`] driven via
@@ -450,6 +471,10 @@ impl CommitSink for ServerSink {
         let mut server = self.0.lock().expect("network server poisoned");
         verdicts.extend(server.process_batch(groups)?);
         Ok(())
+    }
+
+    fn width(&self) -> usize {
+        self.0.lock().expect("network server poisoned").fan_out_width()
     }
 }
 
@@ -488,19 +513,23 @@ pub struct CommitPipe {
     /// The poll thread, while it is parked on a full ring; the worker
     /// takes and unparks it after each pop.
     stalled: Arc<Mutex<Option<Thread>>>,
+    /// Most groups one commit call takes; two of them fill the ring.
+    quantum: usize,
     queue_depth: Gauge,
     stalls: Counter,
 }
 
 impl CommitPipe {
     /// Spawns the commit worker around `sink`; it commits batches of at
-    /// most [`COMMIT_BATCH`] groups. `record_verdicts` keeps
-    /// `(uplink, verdict)` pairs in the final [`CommitLog`].
+    /// most [`commit_quantum`] of the sink's [`CommitSink::width`]
+    /// groups. `record_verdicts` keeps `(uplink, verdict)` pairs in the
+    /// final [`CommitLog`].
     pub fn spawn<S: CommitSink + 'static>(
         sink: S,
         record_verdicts: bool,
         telemetry: CommitTelemetry,
     ) -> Self {
+        let quantum = commit_quantum(sink.width());
         let (tx, rx) = channel::<UplinkDeliveries, HANDOFF_CAPACITY>();
         let (recycle_tx, recycled) = channel::<UplinkDeliveries, HANDOFF_CAPACITY>();
         let committed = Arc::new(AtomicU64::new(0));
@@ -517,13 +546,30 @@ impl CommitPipe {
                     sink,
                     worker_committed,
                     worker_stalled,
+                    quantum,
                     record_verdicts,
                     telemetry,
                 )
             })
             .expect("spawn commit worker");
         let worker_thread = worker.thread().clone();
-        CommitPipe { tx, recycled, worker, worker_thread, committed, stalled, queue_depth, stalls }
+        CommitPipe {
+            tx,
+            recycled,
+            worker,
+            worker_thread,
+            committed,
+            stalled,
+            quantum,
+            queue_depth,
+            stalls,
+        }
+    }
+
+    /// Most groups the worker commits per call: the listener releases
+    /// groups as soon as this many are ready.
+    pub fn quantum(&self) -> usize {
+        self.quantum
     }
 
     /// One past the highest committed uplink id (0 = nothing yet) — what
@@ -532,23 +578,30 @@ impl CommitPipe {
         self.committed.load(Ordering::Acquire)
     }
 
-    /// Hands one released group to the commit worker. On a full ring the
-    /// calling thread parks until the worker pops its next batch (counted
-    /// once in `net_commit_stalls_total`); if the worker died on a commit
-    /// error the ring is abandoned and the group is dropped — the error
-    /// itself surfaces at [`CommitPipe::finish`].
+    /// Hands one released group to the commit worker. With two quanta
+    /// already queued the ring counts as full: the calling thread parks
+    /// until the worker pops its next quantum (counted once in
+    /// `net_commit_stalls_total`). If the worker died on a commit error
+    /// the ring is abandoned and the group is dropped — the error itself
+    /// surfaces at [`CommitPipe::finish`].
     pub fn offer(&mut self, group: UplinkDeliveries) {
-        if let Err(mut item) = self.tx.push(group) {
+        let full = 2 * self.quantum;
+        if self.tx.len() >= full {
             self.stalls.inc();
             // Register before the retry: a pop that the retry misses
             // happens after the registration, so it unparks this thread.
             *self.stalled.lock().expect(STALLED_POISONED) = Some(thread::current());
             self.worker_thread.unpark();
-            while let Err(back) = self.tx.push(item) {
-                item = back;
+            while self.tx.len() >= full {
                 thread::park_timeout(WORKER_PARK);
             }
             self.stalled.lock().expect(STALLED_POISONED).take();
+        }
+        // Only this thread pushes, so the ring still holds fewer than two
+        // quanta, and they fit its capacity; an abandoned ring reads empty
+        // and swallows the push.
+        if self.tx.push(group).is_err() {
+            unreachable!("a ring below two quanta has a free slot");
         }
         self.queue_depth.set(self.tx.len() as f64);
     }
@@ -593,23 +646,25 @@ impl std::fmt::Debug for CommitPipe {
 /// handle, so poisoning means a bug in this module.
 const STALLED_POISONED: &str = "commit pipe stall slot poisoned";
 
-/// The dedicated commit thread: pop a batch, wake a stalled poll thread,
+/// The dedicated commit thread: pop a quantum, wake a stalled poll thread,
 /// drive the sink, publish the watermark, recycle the shells.
+#[allow(clippy::too_many_arguments)]
 fn commit_worker<S: CommitSink>(
     mut rx: Consumer<UplinkDeliveries, HANDOFF_CAPACITY>,
     mut recycle_tx: Producer<UplinkDeliveries, HANDOFF_CAPACITY>,
     mut sink: S,
     committed: Arc<AtomicU64>,
     stalled: Arc<Mutex<Option<Thread>>>,
+    quantum: usize,
     record_verdicts: bool,
     telemetry: CommitTelemetry,
 ) -> Result<CommitLog, NetError> {
-    let mut batch: Vec<UplinkDeliveries> = Vec::with_capacity(COMMIT_BATCH);
+    let mut batch: Vec<UplinkDeliveries> = Vec::with_capacity(quantum);
     let mut verdicts: Vec<ServerVerdict> = Vec::new();
     let mut log = CommitLog::default();
     loop {
         batch.clear();
-        if rx.pop_batch(&mut batch, COMMIT_BATCH) == 0 {
+        if rx.pop_batch(&mut batch, quantum) == 0 {
             if rx.is_finished() {
                 break;
             }
@@ -891,7 +946,8 @@ mod tests {
     }
 
     /// A stub sink slower than the offers: it sleeps per group and
-    /// records every batch's size.
+    /// records every batch's size. It reports two workers, so the pipe
+    /// runs at the quantum of a 2-arena server.
     struct SlowSink {
         per_group: Duration,
         batch_sizes: Arc<Mutex<Vec<usize>>>,
@@ -907,6 +963,17 @@ mod tests {
             self.batch_sizes.lock().unwrap().push(groups.len());
             Ok(())
         }
+
+        fn width(&self) -> usize {
+            2
+        }
+    }
+
+    #[test]
+    fn quantum_is_four_groups_per_worker_up_to_the_ceiling() {
+        for (width, quantum) in [(0, 4), (1, 4), (2, 8), (16, 64), (64, 64)] {
+            assert_eq!(commit_quantum(width), quantum, "width {width}");
+        }
     }
 
     #[test]
@@ -917,6 +984,8 @@ mod tests {
             batch_sizes: Arc::clone(&batch_sizes),
         };
         let mut pipe = CommitPipe::spawn(sink, false, telemetry());
+        let quantum = pipe.quantum();
+        assert_eq!(quantum, commit_quantum(2));
         let total = 4 * HANDOFF_CAPACITY as u64;
         let mut peak_in_flight = 0;
         for uplink in 0..total {
@@ -924,13 +993,13 @@ mod tests {
             peak_in_flight = peak_in_flight.max(uplink + 1 - pipe.committed());
         }
         pipe.finish().expect("no commit failure");
-        // The ring holds two batches and the worker one more, popped but
-        // not yet committed; nothing else can be in flight.
-        let bound = (HANDOFF_CAPACITY + COMMIT_BATCH) as u64;
+        // The ring admits two quanta and the worker holds one more,
+        // popped but not yet committed; nothing else can be in flight.
+        let bound = 3 * quantum as u64;
         assert!(peak_in_flight <= bound, "{peak_in_flight} groups in flight, bound {bound}");
-        assert!(peak_in_flight > HANDOFF_CAPACITY as u64, "the sink never fell behind");
+        assert!(peak_in_flight > 2 * quantum as u64, "the sink never fell behind");
         let batch_sizes = batch_sizes.lock().unwrap();
-        assert!(batch_sizes.iter().all(|&n| n <= COMMIT_BATCH), "{batch_sizes:?}");
+        assert!(batch_sizes.iter().all(|&n| n <= quantum), "{batch_sizes:?}");
         assert_eq!(batch_sizes.iter().sum::<usize>() as u64, total);
     }
 }

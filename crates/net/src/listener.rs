@@ -21,14 +21,17 @@
 //! is how a gateway — or the load generator measuring end-to-end commit
 //! latency — observes the pipeline catching up.
 //!
-//! Admission is two commit batches deep, so latency is bounded by
-//! design. The poll thread releases groups as soon as one batch
-//! ([`crate::ingest::COMMIT_BATCH`], 64 groups) is ready, the handoff
-//! ring holds two batches, and the worker commits one at a time: at most
-//! 192 groups are between handoff and commit, and a group waits there
-//! at most that many divided by the commit throughput (≈ 64 ms at 3000
-//! groups/s). A full ring parks the poll thread, counted in
-//! `net_commit_stalls_total`, until the worker frees a batch. Meanwhile
+//! Admission is two commit quanta deep, so latency is bounded by
+//! design. The quantum is four groups per DSP arena of the server
+//! ([`crate::ingest::commit_quantum`] of
+//! [`NetworkServer::fan_out_width`], capped at 64): 8 groups on a
+//! 2-arena server. The poll thread releases groups as soon as one
+//! quantum is ready (or on the `poll_interval` tick), the handoff ring
+//! admits two quanta, and the worker commits one at a time: at most three
+//! quanta (24 groups at width 2) are between handoff and commit, and a
+//! group waits there at most that many divided by the commit throughput
+//! (≈ 8 ms at 3000 groups/s). A full ring parks the poll thread, counted
+//! in `net_commit_stalls_total`, until the worker frees a quantum. Meanwhile
 //! no datagram is read or acked, so the excess waits in the senders'
 //! unacked windows rather than in server memory. Shutdown drains both
 //! the reassembly window and the handoff queue before the report is
@@ -58,7 +61,7 @@
 //!    watermark, in ascending uplink order, so no late copy can arrive
 //!    for a released group;
 //! 3. released groups flow through the SPSC handoff into
-//!    [`NetworkServer::process_batch`] in worker-sized batches. The ring
+//!    [`NetworkServer::process_batch`] one quantum at a time. The ring
 //!    preserves the release order and batch boundaries don't affect
 //!    results (the server's sub-batch ≡ big-batch invariant), so the
 //!    wire path's verdicts, statistics and persisted state are
@@ -69,9 +72,7 @@
 //! sequence tracking); malformed datagrams are counted and dropped —
 //! the listener never panics on wire input.
 
-use crate::ingest::{
-    CommitPipe, CommitTelemetry, CopyHeader, Reassembler, ServerSink, Stash, COMMIT_BATCH,
-};
+use crate::ingest::{CommitPipe, CommitTelemetry, CopyHeader, Reassembler, ServerSink, Stash};
 use crate::protocol::{
     decode_frame, encode_frame_into, Frame, NetCounters, PushData, ServerRole, WireRuntime,
     WireStats, WireUplink,
@@ -94,8 +95,9 @@ pub struct NetServerConfig {
     /// Address to bind the ctrl socket on (port 0 = ephemeral).
     pub ctrl_bind: SocketAddr,
     /// Handoff cadence: ready groups are released to the commit worker at
-    /// least this often, and as soon as [`COMMIT_BATCH`] are ready. It is
-    /// the recv timeout, so also the ctrl poll period.
+    /// least this often, and as soon as one commit quantum
+    /// ([`CommitPipe::quantum`]) is ready. It is the recv timeout, so also
+    /// the ctrl poll period.
     pub poll_interval: Duration,
     /// Bound on the reassembly buffer: when a new uplink id needs a
     /// window position past this many pending groups, the oldest are
@@ -427,7 +429,7 @@ impl NetServer {
             }
 
             let ready = self.reassembler.ready_count(self.barrier());
-            if ready >= COMMIT_BATCH
+            if ready >= self.pipe.quantum()
                 || (last_flush.elapsed() >= self.config.poll_interval && ready > 0)
                 || self.reassembler.spilled_len() > 0
             {

@@ -33,6 +33,43 @@ pub const RTL_SDR_SAMPLE_RATE: f64 = 2.4e6;
 /// synthesis; the recurrence drifts by ~1e-16 per step in between.
 const PHASOR_ANCHOR: usize = 512;
 
+/// 2⁵²: adding then subtracting it rounds an `f64` below 2⁵¹ in
+/// magnitude to an integer, ties to even.
+const ROUND_SHIFT: f64 = 4_503_599_627_370_496.0;
+
+/// `x.round()` (half away from zero) without the libm call, bit for bit
+/// for |x| < 2⁵¹: round |x| ties-to-even through [`ROUND_SHIFT`], move an
+/// exact half that went down to the even neighbour back up, and restore
+/// the sign (so −0.3 still rounds to −0).
+#[inline]
+fn round_half_away(x: f64) -> f64 {
+    let a = x.abs();
+    let t = (a + ROUND_SHIFT) - ROUND_SHIFT;
+    (t + f64::from(u8::from(t - a == -0.5))).copysign(x)
+}
+
+/// The ADC's quantiser, resolved once per capture: the step, its exact
+/// reciprocal and the clip bounds.
+#[derive(Clone, Copy)]
+struct Adc {
+    lo: f64,
+    hi: f64,
+    per_step: f64,
+    step: f64,
+}
+
+impl Adc {
+    #[inline]
+    fn quantise(&self, z: Complex) -> Complex {
+        Complex::new(self.level(z.re), self.level(z.im))
+    }
+
+    #[inline]
+    fn level(&self, x: f64) -> f64 {
+        round_half_away(x.clamp(self.lo, self.hi) * self.per_step) * self.step
+    }
+}
+
 /// An I/Q capture produced by the SDR receiver.
 #[derive(Debug, Clone)]
 pub struct IqCapture {
@@ -127,7 +164,12 @@ impl SdrReceiver {
     }
 
     /// Sets ADC resolution.
+    ///
+    /// # Panics
+    ///
+    /// When `bits` exceeds 32.
     pub fn with_adc_bits(mut self, bits: u32) -> Self {
+        assert!(bits <= 32, "a {bits}-bit ADC is not modelled");
         self.adc_bits = Some(bits);
         self
     }
@@ -156,6 +198,7 @@ impl SdrReceiver {
         let delta_rx = self.oscillator.frequency_bias_hz();
         let theta_rx = self.next_phase.take().unwrap_or_else(|| self.oscillator.random_phase());
         let dt = 1.0 / self.sample_rate;
+        let adc = self.adc();
         samples
             .iter()
             .enumerate()
@@ -163,7 +206,7 @@ impl SdrReceiver {
                 let t = t0 + n as f64 * dt;
                 let mixed =
                     z * Complex::cis(-(2.0 * std::f64::consts::PI * delta_rx * t + theta_rx));
-                self.quantise(mixed)
+                adc.map_or(mixed, |adc| adc.quantise(mixed))
             })
             .collect()
     }
@@ -270,28 +313,29 @@ impl SdrReceiver {
                 }));
             }
         }
-        for s in &mut z[lead..] {
-            *s = self.quantise(*s);
+        if let Some(adc) = self.adc() {
+            for s in &mut z[lead..] {
+                *s = adc.quantise(*s);
+            }
         }
         Ok(())
     }
 
-    fn quantise(&self, z: Complex) -> Complex {
-        match self.adc_bits {
-            None => z,
-            Some(bits) => {
-                let levels = (1u64 << bits) as f64;
-                let step = 2.0 * self.adc_full_scale / levels;
-                // The step is a power of two (full scale 2, 2^bits levels),
-                // so scaling by its reciprocal is the exact division.
-                let per_step = levels / (2.0 * self.adc_full_scale);
-                let q = |x: f64| -> f64 {
-                    let clipped = x.clamp(-self.adc_full_scale, self.adc_full_scale - step);
-                    (clipped * per_step).round() * step
-                };
-                Complex::new(q(z.re), q(z.im))
+    /// The ADC quantiser, or `None` when quantisation is off.
+    fn adc(&self) -> Option<Adc> {
+        self.adc_bits.map(|bits| {
+            let levels = (1u64 << bits) as f64;
+            let step = 2.0 * self.adc_full_scale / levels;
+            Adc {
+                lo: -self.adc_full_scale,
+                hi: self.adc_full_scale - step,
+                // The step is a power of two (full scale 2, 2^bits
+                // levels), so scaling by its reciprocal is the exact
+                // division.
+                per_step: levels / (2.0 * self.adc_full_scale),
+                step,
             }
-        }
+        })
     }
 }
 
@@ -439,9 +483,31 @@ mod tests {
 
     #[test]
     fn quantisation_clips_at_full_scale() {
-        let rx = receiver(0.0);
-        let big = rx.quantise(Complex::new(100.0, -100.0));
+        let adc = receiver(0.0).adc().expect("8-bit ADC by default");
+        let big = adc.quantise(Complex::new(100.0, -100.0));
         assert!(big.re <= 2.0 && big.im >= -2.0);
+    }
+
+    #[test]
+    fn inline_rounding_matches_f64_round_bit_for_bit() {
+        // `assert_eq!` on floats cannot tell −0 from +0; compare bits.
+        let check = |x: f64| {
+            for v in [x, x.next_up(), x.next_down(), -x] {
+                assert_eq!(round_half_away(v).to_bits(), v.round().to_bits(), "{v:e}");
+            }
+        };
+        // The scaled range of a 16-bit ADC, which holds every narrower
+        // one's, in 1/8 steps: every tie and every near-tie.
+        for k in -(8 << 15)..=(8 << 15) {
+            check(f64::from(k) / 8.0);
+        }
+        // Integers and ties out past the 32-bit ADC edge to the 2⁵¹ limit.
+        for e in 0..51 {
+            let p = (1u64 << e) as f64;
+            check(p);
+            check(p + 0.5);
+            check(p - 0.5);
+        }
     }
 
     #[test]

@@ -15,12 +15,12 @@
 //! | [`runtime`] | streaming flowgraph runtime: blocks over lock-free SPSC rings, multi-threaded scheduler, runtime observers |
 //! | [`store`] | durable sharded device-state store: append-only WAL with a hand-rolled binary codec, snapshots + compaction, crash recovery |
 //! | [`telemetry`] | process-wide lock-free metrics registry: counters, gauges, log₂-bucketed latency histograms, text/JSON exposition |
-//! | [`net`] | the wire-protocol front door: Semtech-UDP-style gateway frames, the UDP/loopback listener feeding the sharded server tail, the fleet-scale load generator |
+//! | [`net`] | the wire-protocol front door: Semtech-UDP-style gateway frames, the UDP/loopback listener feeding the sharded server tail, a lock-step fleet replay client |
 //! | [`softlora`] | the paper's contribution: PHY timestamping, FB estimation, FB database, replay detection, the SoftLoRa gateway, the streaming network-server blocks |
 //!
-//! See the repository `README.md` for a guided tour, `DESIGN.md` for the
-//! system inventory, and `EXPERIMENTS.md` for the paper-versus-measured
-//! record. The `examples/` directory holds runnable scenarios; the
+//! See the repository `README.md` for a guided tour, the workspace
+//! layout and the measured performance record. The `examples/`
+//! directory holds runnable scenarios; the
 //! `softlora-bench` crate regenerates every table and figure of the
 //! paper's evaluation.
 //!
