@@ -12,16 +12,13 @@
 //! * a commodity gateway timestamps the replayed records τ late, while
 //!   the SoftLoRa gateway flags the replay by its FB.
 
-use softlora::observer::GatewayStats;
-use softlora::SoftLoraGateway;
+use softlora::NetworkServer;
 use softlora_attack::FrameDelayAttack;
 use softlora_lorawan::{ClassADevice, DeviceConfig, Gateway as CommodityGateway, RxVerdict};
 use softlora_phy::oscillator::Oscillator;
 use softlora_phy::{PhyConfig, SpreadingFactor};
 use softlora_sim::deployment::BuildingDeployment;
 use softlora_sim::{AirFrame, HonestChannel, Interceptor, Position};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Result of the end-to-end attack experiment.
 #[derive(Debug, Clone)]
@@ -72,15 +69,13 @@ pub fn run(warmup: usize, attacked: usize, tau_s: f64) -> AttackE2e {
     // Hz, so the adaptive band needs the full clean history before it can
     // separate genuine jitter from the ~1.2 kHz two-USRP replay artefact
     // (the paper builds the database "in the absence of attacks", §7.2).
-    // Outcomes are consumed through the observer hook rather than by
-    // matching verdicts.
-    let softlora_stats = Rc::new(RefCell::new(GatewayStats::default()));
-    let mut softlora = SoftLoraGateway::builder(phy)
+    // The SoftLoRa gateway is a one-gateway network server; each delivery
+    // is its own uplink group.
+    let mut softlora = NetworkServer::builder(phy)
         .adc_quantisation(false)
         .warmup_frames(warmup.max(1))
-        .seed(77)
+        .gateway(77)
         .provision(dev_cfg.dev_addr, dev_cfg.keys.clone())
-        .observer(Box::new(Rc::clone(&softlora_stats)))
         .build();
 
     // Attack: eavesdropper next to the device (A1/3F), USRPs next to the
@@ -133,8 +128,8 @@ pub fn run(warmup: usize, attacked: usize, tau_s: f64) -> AttackE2e {
                     commodity_errors.push(up.records[0].global_time_s - (t - 0.5));
                 }
             }
-            // SoftLoRa path: the observer tallies accepts and flags.
-            softlora.process(d).expect("softlora pipeline");
+            // SoftLoRa path: the server tallies accepts and flags.
+            softlora.process_delivery(0, d).expect("softlora pipeline");
         }
         t += 200.0;
     }
@@ -148,7 +143,7 @@ pub fn run(warmup: usize, attacked: usize, tau_s: f64) -> AttackE2e {
         attacked_errors.iter().sum::<f64>() / attacked_errors.len() as f64
     };
 
-    let stats = softlora_stats.borrow();
+    let stats = softlora.stats();
     AttackE2e {
         sf7_margin_db,
         sf8_margin_db,
@@ -156,7 +151,8 @@ pub fn run(warmup: usize, attacked: usize, tau_s: f64) -> AttackE2e {
         frames: warmup + attacked,
         originals_suppressed,
         commodity_timestamp_error_s,
-        softlora_detections: stats.replays_flagged as usize,
+        softlora_detections: (stats.fb_replays_flagged + stats.cross_gateway_replays_flagged)
+            as usize,
         softlora_accepted: stats.accepted as usize,
     }
 }

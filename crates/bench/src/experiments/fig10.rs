@@ -4,8 +4,8 @@
 //! high-SNR capture at each target SNR, and the AIC error is averaged over
 //! trials. The paper reports errors within ~20 µs for the building's SNR
 //! range (−1..13 dB) and within ~25 µs at −20 dB; our amplitude-domain
-//! pickers match the first regime and degrade faster below ≈ −5 dB (see
-//! EXPERIMENTS.md for the discussion).
+//! pickers match the first regime and degrade faster below ≈ −5 dB
+//! (ROADMAP item 7 tracks the picker defect behind the low-SNR mean).
 
 use crate::common;
 use softlora::phy_timestamp::{OnsetMethod, PhyTimestamper};

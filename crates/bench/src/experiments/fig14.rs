@@ -103,7 +103,7 @@ mod tests {
     fn minus_25_db_median_within_bound() {
         let p = &run(&[-25.0], false, 7, FbMethod::MatchedFilter)[0];
         // The −25 dB point sits at the estimation threshold: require the
-        // median within 1.5× the paper bound (see EXPERIMENTS.md).
+        // median within 1.5× the paper bound.
         assert!(p.median_error_hz < 1.5 * PAPER_BOUND_HZ, "median {} Hz", p.median_error_hz);
     }
 

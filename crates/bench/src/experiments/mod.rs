@@ -1,6 +1,6 @@
 //! One module per paper artefact. Each exposes a `run(...)` function
-//! returning structured results so the repro binaries, integration tests
-//! and EXPERIMENTS.md generation all share the same code path.
+//! returning structured results so the repro binaries and the tests share
+//! the same code path.
 
 pub mod attack_e2e;
 pub mod campus;

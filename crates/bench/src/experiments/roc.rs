@@ -1,11 +1,10 @@
 //! Detector ablation: detection rate versus false-alarm rate across the
-//! tolerance-band policy (an extension beyond the paper's evaluation,
-//! listed in DESIGN.md).
+//! tolerance-band policy (an extension beyond the paper's evaluation).
 //!
 //! The FB estimate a gateway sees is `device centre + estimation noise`,
 //! where the noise scale depends on operating SNR (the onset-coupling
-//! effect measured in EXPERIMENTS.md: ≈ 50 Hz at bench SNR, ≈ 300–500 Hz
-//! at the building's −1 dB). A replay adds the chain artefact (≈ 600 Hz
+//! effect, ROADMAP item 9: ≈ 50 Hz at bench SNR, ≈ 300–500 Hz at the
+//! building's −1 dB). A replay adds the chain artefact (≈ 600 Hz
 //! for one USRP, ≈ 1.2–2 kHz for two). This experiment sweeps the
 //! detector's `band_sigma` policy against those regimes and reports the
 //! ROC-style trade-off.

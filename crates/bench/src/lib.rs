@@ -3,9 +3,8 @@
 //!
 //! Each experiment lives in [`experiments`] as a pure function returning
 //! structured rows; the `repro_*` binaries print them in the paper's
-//! layout. The mapping from paper artefact to module is indexed in the
-//! repository's `DESIGN.md`; the measured-versus-paper comparison is
-//! recorded in `EXPERIMENTS.md`.
+//! layout, each beside the paper's value (module `figN`/`tableN` is paper
+//! Fig./Table N; `attack_e2e` is §8.1.1, `campus` §8.2).
 //!
 //! Run, e.g.:
 //!

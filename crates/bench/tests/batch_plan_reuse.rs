@@ -1,12 +1,12 @@
 //! Pins that a warm `process_batch` builds no FFT plans. The DSP arenas
-//! belong to the gateway or server, not to the threads a batch runs on,
-//! so the twiddle tables the first call builds serve every later call —
-//! batch or sequential.
+//! belong to the server, not to the threads a batch runs on, so the
+//! twiddle tables the first call builds serve every later call — batch
+//! or sequential.
 //!
 //! One test per file: the telemetry registry is process-global, so a
 //! lone test keeps other tests' plan builds out of the counted region.
 
-use softlora::{NetworkServer, SoftLoraGateway};
+use softlora::NetworkServer;
 use softlora_lorawan::{ClassADevice, DeviceConfig};
 use softlora_phy::{PhyConfig, SpreadingFactor};
 use softlora_sim::{Delivery, FleetDelivery, UplinkDeliveries};
@@ -73,12 +73,16 @@ fn warm_batches_build_no_fft_plans() {
     server.process_batch(&groups).expect("warm batch");
     assert_eq!(plans_built() - before, 0, "a warm NetworkServer batch rebuilt FFT plans");
 
-    let deliveries: Vec<Delivery> = groups.iter().map(|g| g.copies[0].delivery.clone()).collect();
-    let mut gateway = SoftLoraGateway::builder(phy()).adc_quantisation(false).build();
-    gateway.process_batch(&deliveries).expect("warm-up batch");
+    // One gateway, one group per delivery: the single-link configuration.
+    let singles: Vec<UplinkDeliveries> = groups
+        .iter()
+        .map(|g| UplinkDeliveries { copies: vec![g.copies[0].clone()], ..g.clone() })
+        .collect();
+    let mut gateway = NetworkServer::builder(phy()).adc_quantisation(false).build();
+    gateway.process_batch(&singles).expect("warm-up batch");
     let before = plans_built();
-    gateway.process_batch(&deliveries).expect("warm batch");
-    assert_eq!(plans_built() - before, 0, "a warm SoftLoraGateway batch rebuilt FFT plans");
-    gateway.process(&deliveries[0]).expect("sequential delivery");
-    assert_eq!(plans_built() - before, 0, "process after a warm batch rebuilt FFT plans");
+    gateway.process_batch(&singles).expect("warm batch");
+    assert_eq!(plans_built() - before, 0, "a warm one-gateway batch rebuilt FFT plans");
+    gateway.process_delivery(0, &singles[0].copies[0].delivery).expect("sequential delivery");
+    assert_eq!(plans_built() - before, 0, "process_delivery after a warm batch rebuilt FFT plans");
 }

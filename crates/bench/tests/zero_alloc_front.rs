@@ -14,7 +14,7 @@
 //! One test per file: the counting allocator is process-global, so a
 //! lone test keeps the measured region free of harness allocations.
 
-use softlora::SoftLoraGateway;
+use softlora::NetworkServer;
 use softlora_bench::alloc_counter::CountingAllocator;
 use softlora_dsp::DspScratch;
 use softlora_lorawan::{ClassADevice, DeviceConfig};
@@ -27,14 +27,14 @@ static ALLOC: CountingAllocator = CountingAllocator::new();
 
 #[test]
 fn steady_state_front_half_and_record_encode_are_allocation_free() {
-    // --- Setup (allocations allowed): one provisioned gateway and a
-    // genuine SF7 delivery off a Class A device. ---
+    // --- Setup (allocations allowed): a provisioned one-gateway server
+    // and a genuine SF7 delivery off a Class A device. ---
     let phy = PhyConfig::uplink(SpreadingFactor::Sf7);
     let dev_cfg = DeviceConfig::new(0x2601_0001, phy);
     let mut dev = ClassADevice::new(dev_cfg.clone());
-    let gw = SoftLoraGateway::builder(phy)
+    let gw = NetworkServer::builder(phy)
         .adc_quantisation(false)
-        .seed(3)
+        .gateway(3)
         .provision(dev_cfg.dev_addr, dev_cfg.keys.clone())
         .build();
     dev.sense(1, 99.0).expect("sense");
@@ -50,7 +50,7 @@ fn steady_state_front_half_and_record_encode_are_allocation_free() {
         jamming: None,
         is_replay: false,
     };
-    let pipeline = gw.pipeline();
+    let pipeline = gw.pipeline(0);
     let mut scratch = DspScratch::new();
 
     // A commit-record-shaped payload: version byte, sequence numbers,

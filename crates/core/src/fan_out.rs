@@ -1,10 +1,9 @@
 //! Batch fan-out over arenas the caller owns.
 //!
-//! [`crate::SoftLoraGateway::process_batch`] and
-//! [`crate::NetworkServer::process_batch`] map independent work — one
-//! front half per frame copy, one commit run per tail shard — across
-//! the calling thread and scoped helper threads. Each worker borrows one
-//! arena for the whole call, and the arenas belong to the gateway or
+//! [`crate::NetworkServer::process_batch`] maps independent work — one
+//! front half per frame copy, one commit run per busy tail shard —
+//! across the calling thread and scoped helper threads. Each worker
+//! borrows one arena for the whole call, and the arenas belong to the
 //! server, so what they cache (a [`DspScratch`]'s FFT plans and pooled
 //! buffers) outlives the call.
 
@@ -13,7 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// The host's available parallelism: the default shard count and the
-/// number of arenas a gateway or server owns. Read once per process: on
+/// number of arenas a server owns. Read once per process: on
 /// Linux the query reads cgroup files, which would otherwise dominate
 /// building a small server.
 pub(crate) fn host_width() -> usize {
@@ -24,7 +23,7 @@ pub(crate) fn host_width() -> usize {
 }
 
 /// One fresh arena per unit of [`host_width`], built once with the
-/// gateway or server that owns them.
+/// server that owns them.
 pub(crate) fn host_arenas() -> Vec<DspScratch> {
     (0..host_width()).map(|_| DspScratch::new()).collect()
 }

@@ -10,8 +10,8 @@
 //!    picker ([`phy_timestamp`], paper §6);
 //! 2. **estimates each frame's carrier frequency bias (FB)** from a single
 //!    preamble chirp — closed-form linear regression on the unwrapped
-//!    phase at workable SNR, a least-squares template fit solved by
-//!    differential evolution below the demodulation floor
+//!    phase at high SNR, a least-squares matched filter (a dechirped-tone
+//!    FFT peak, Newton-polished) below the `ls_below_snr_db` threshold
 //!    ([`fb_estimator`], paper §7.1, 0.14 ppm resolution at −25 dB);
 //! 3. **detects the frame-delay attack** by checking each frame's FB
 //!    against the per-device history ([`fb_db`], [`replay_detect`],
@@ -19,21 +19,24 @@
 //!    ≥ 0.6 ppm bias;
 //! 4. **reconstructs trustworthy global timestamps** for the sensor
 //!    records of accepted frames and refuses to timestamp flagged ones
-//!    ([`gateway`], paper §3.2/§5.3).
+//!    ([`network_server`], paper §3.2/§5.3).
 //!
 //! The defence is entirely passive: no extra transmissions, no device
 //! modifications, no clock synchronisation ([`analysis`] quantifies the
 //! savings).
 //!
-//! The gateway is an explicit six-stage pipeline ([`pipeline`]): the
-//! embarrassingly-parallel front half (radio gate → capture synthesis →
-//! onset pick → FB estimate) is a pure function of the gateway seed and
-//! frame index, so [`SoftLoraGateway::process_batch`] fans it out across
-//! threads and replays the stateful detector/MAC tail sequentially —
-//! bit-identical to a sequential [`SoftLoraGateway::process`] loop.
+//! Each gateway runs the stateless front half of the staged pipeline
+//! ([`pipeline`]: radio gate → capture synthesis → onset pick → FB
+//! estimate), a pure function of the gateway seed and frame index. The
+//! stateful tail — FB check, then MAC verification and timestamping — runs
+//! once, in the [`NetworkServer`]'s device-sharded shards. A one-gateway
+//! server is the paper's single-link SoftLoRa gateway;
+//! [`NetworkServer::process_batch`] fans the front halves out across
+//! threads and is bit-identical to a [`NetworkServer::process_delivery`]
+//! loop.
 //!
-//! For multi-gateway deployments, [`network_server`] lifts the defence to
-//! the network-server tier: per-gateway front halves feed a shared,
+//! With several gateways, [`network_server`] lifts the defence to the
+//! network-server tier: per-gateway front halves feed a shared,
 //! capacity-bounded FB database, copies are deduplicated to the best-SNR
 //! one, and cross-gateway timestamp/FB consistency adds a second replay
 //! signal — the frame-delay attack is caught even at gateways the
@@ -42,23 +45,30 @@
 //! # Quick start
 //!
 //! ```
-//! use softlora::observer::GatewayStats;
-//! use softlora::SoftLoraGateway;
+//! use softlora::{NetworkServer, ServerObserver, ServerVerdict};
 //! use softlora_phy::{PhyConfig, SpreadingFactor};
-//! use std::cell::RefCell;
-//! use std::rc::Rc;
+//! use std::sync::{Arc, Mutex};
+//!
+//! #[derive(Default)]
+//! struct Flags(u64);
+//! impl ServerObserver for Flags {
+//!     fn on_verdict(&mut self, _uplink: u64, verdict: &ServerVerdict) {
+//!         self.0 += u64::from(verdict.verdict.is_replay_detected());
+//!     }
+//! }
 //!
 //! let phy = PhyConfig::uplink(SpreadingFactor::Sf7);
-//! let stats = Rc::new(RefCell::new(GatewayStats::default()));
-//! let mut gw = SoftLoraGateway::builder(phy)
-//!     .seed(42)
+//! let flags = Arc::new(Mutex::new(Flags::default()));
+//! let mut gw = NetworkServer::builder(phy)
+//!     .gateway(42)
 //!     .warmup_frames(3)
-//!     .observer(Box::new(Rc::clone(&stats)))
+//!     .observer(Box::new(Arc::clone(&flags)))
 //!     .build();
 //! // Provision devices, then feed deliveries from the simulator:
-//! // `gw.process(&delivery)` one at a time, or `gw.process_batch(&batch)`
-//! // to run the DSP front half for independent deliveries in parallel.
-//! assert_eq!(stats.borrow().frames(), 0);
+//! // `gw.process_delivery(0, &delivery)` one at a time, or
+//! // `gw.process_batch(&groups)` with one group per delivery to run the
+//! // DSP front half for independent deliveries in parallel.
+//! assert_eq!(flags.lock().unwrap().0, 0);
 //! # let _ = &mut gw;
 //! ```
 
@@ -69,7 +79,8 @@ mod fan_out;
 pub mod fb_db;
 pub mod fb_estimator;
 pub mod fsck;
-pub mod gateway;
+#[cfg(test)]
+mod gateway;
 pub mod network_server;
 pub mod observer;
 pub(crate) mod persist;
@@ -79,16 +90,15 @@ pub mod replay_detect;
 pub mod replication;
 pub mod streaming;
 
-pub use builder::GatewayBuilder;
+pub use builder::NetworkServerBuilder;
 pub use config::SoftLoraConfig;
 pub use fb_db::{FbDatabase, FbEviction};
 pub use fb_estimator::{FbEstimate, FbEstimator, FbMethod};
 pub use fsck::{fsck_store, ShardReport, StoreReport};
-pub use gateway::{SoftLoraGateway, SoftLoraVerdict};
 pub use network_server::{
-    NetworkServer, NetworkServerBuilder, ReplaySignal, ServerObserver, ServerStats, ServerVerdict,
+    NetworkServer, ReplaySignal, ServerStats, ServerVerdict, SoftLoraVerdict,
 };
-pub use observer::{GatewayObserver, GatewayStats, Stage};
+pub use observer::{ServerObserver, Stage};
 pub use phy_timestamp::{OnsetMethod, PhyTimestamp, PhyTimestamper};
 pub use pipeline::Pipeline;
 pub use replay_detect::{ReplayDetector, ReplayVerdict};

@@ -20,8 +20,9 @@
 //! * FB estimates are normalised into gateway 0's reference frame
 //!   (`fb + δRx_g − δRx_0`) so copies from different SDRs share one
 //!   per-device history; for gateway 0 the normalisation is exactly
-//!   zero, which keeps the one-gateway configuration bit-for-bit
-//!   identical to a standalone [`SoftLoraGateway`](crate::SoftLoraGateway);
+//!   zero, so a one-gateway server *is* the paper's single-link gateway
+//!   (§5.3, Fig. 4): FB check against the device history, then MAC
+//!   verification and timestamping at the PHY arrival;
 //! * **dedup with consistency checking** adds a second replay signal on
 //!   top of the FB check: copies of one uplink must arrive within the
 //!   propagation window, and a repeated `(device, fcnt)` far outside it is
@@ -45,72 +46,34 @@
 //! rebuild with the same gateways, devices and tuning; gateway- or
 //! shard-count changes are refused at build.
 
-use crate::config::SoftLoraConfig;
-use crate::fan_out::{fan_out, host_arenas, host_width};
+use crate::builder::NetworkServerBuilder;
+use crate::fan_out::fan_out;
 use crate::fb_db::{FbDatabase, FbEviction};
-use crate::gateway::SoftLoraVerdict;
+use crate::fb_estimator::FbEstimate;
+use crate::observer::{ServerObserver, Stage};
 use crate::persist::{CommitRecord, DedupRecord, ShardSnapshot};
-use crate::pipeline::{AnalyzedFrame, FrontFrame, MacStage, Pipeline};
+use crate::pipeline::{AnalyzedFrame, FrontFrame, MacStage, Pipeline, StageMetrics};
 use crate::replay_detect::{DetectionStats, ReplayDetector, ReplayVerdict};
 use crate::replication::{CommitHook, SnapshotInstaller};
 use crate::SoftLoraError;
 use softlora_dsp::scratch::DspScratch;
 use softlora_lorawan::frame::DataFrame;
 use softlora_lorawan::{
-    best_copy, payload_hash, DedupCache, DedupOutcome, DeviceKeys, RxVerdict, UplinkCopy,
+    best_copy, payload_hash, DedupCache, DedupOutcome, DeviceKeys, ReceivedUplink, RxVerdict,
+    UplinkCopy,
 };
+use softlora_phy::rn2483::ReceptionOutcome;
 use softlora_phy::PhyConfig;
 use softlora_sim::{Delivery, FleetDelivery, UplinkDeliveries};
-use softlora_store::{shard_of, Encoder, GroupCommitter, ShardedStore, StoreError, WalOptions};
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use softlora_store::{shard_of, Encoder, GroupCommitter, ShardedStore, StoreError};
+use std::path::Path;
+use std::sync::Arc;
+use std::time::Instant;
 
 /// One gateway's stateless analysis front end inside the server.
 pub(crate) struct GatewayFront {
     pub(crate) pipeline: Pipeline,
     pub(crate) frames_seen: u64,
-}
-
-/// Hooks the network server calls as it commits deduplicated verdicts —
-/// the server-tier counterpart of [`crate::GatewayObserver`]. The batch
-/// path ([`NetworkServer::process_batch`]) and the streaming paths
-/// (`softlora::streaming`) drive the same hooks, so observability does
-/// not depend on the execution mode. All methods have empty defaults.
-///
-/// Observers run on whichever thread commits the verdict (the streaming
-/// sink blocks run on scheduler workers), hence the `Send` bound.
-#[allow(unused_variables)]
-pub trait ServerObserver: Send {
-    /// One uplink group was deduplicated to its authoritative verdict.
-    fn on_verdict(&mut self, uplink: u64, verdict: &ServerVerdict) {}
-
-    /// Aggregate statistics after committing that uplink.
-    fn on_stats(&mut self, stats: ServerStats) {}
-
-    /// The FB database's capacity bound evicted a device while learning
-    /// from this uplink; the dropped history rides along so the loss is
-    /// auditable (it also lands in the WAL when persistence is on).
-    fn on_eviction(&mut self, uplink: u64, eviction: &FbEviction) {}
-
-    /// A gateway front end failed with an infrastructure error; the
-    /// stream (or batch) stops after this uplink.
-    fn on_error(&mut self, uplink: u64, error: &SoftLoraError) {}
-}
-
-impl<T: ServerObserver> ServerObserver for Arc<Mutex<T>> {
-    fn on_verdict(&mut self, uplink: u64, verdict: &ServerVerdict) {
-        self.lock().expect("server observer poisoned").on_verdict(uplink, verdict);
-    }
-    fn on_stats(&mut self, stats: ServerStats) {
-        self.lock().expect("server observer poisoned").on_stats(stats);
-    }
-    fn on_eviction(&mut self, uplink: u64, eviction: &FbEviction) {
-        self.lock().expect("server observer poisoned").on_eviction(uplink, eviction);
-    }
-    fn on_error(&mut self, uplink: u64, error: &SoftLoraError) {
-        self.lock().expect("server observer poisoned").on_error(uplink, error);
-    }
 }
 
 /// Attack evidence the server gathered while deduplicating one uplink.
@@ -144,6 +107,58 @@ pub enum ReplaySignal {
         /// The tolerance that was exceeded, Hz.
         tolerance_hz: f64,
     },
+}
+
+/// The paper's single-link verdict on an uplink (§5.3): what the
+/// defence decided about the copy the server chose. [`ServerVerdict`]
+/// wraps it with the fleet-level evidence.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SoftLoraVerdict {
+    /// Frame accepted: records carry trustworthy timestamps.
+    Accepted {
+        /// The verified, timestamped uplink.
+        uplink: ReceivedUplink,
+        /// The frame's estimated FB.
+        fb: FbEstimate,
+        /// PHY-layer arrival timestamp (gateway clock), seconds.
+        phy_arrival_s: f64,
+        /// Whether the FB database was still warming up for this device.
+        learning: bool,
+    },
+    /// A replay check flagged the frame; it was dropped without
+    /// timestamping.
+    ReplayDetected {
+        /// Claimed source address.
+        dev_addr: u32,
+        /// FB deviation from the tracked centre, Hz.
+        deviation_hz: f64,
+        /// Band that was exceeded, Hz.
+        band_hz: f64,
+    },
+    /// The radio never handed the frame to the host (jamming or below the
+    /// demodulation floor).
+    NotReceived {
+        /// What the chip experienced.
+        outcome: ReceptionOutcome,
+    },
+    /// The LoRaWAN layer rejected the frame (MIC, counter, unknown
+    /// device).
+    LorawanRejected {
+        /// The rejection reason, printable.
+        reason: String,
+    },
+}
+
+impl SoftLoraVerdict {
+    /// Whether the frame was accepted and timestamped.
+    pub fn is_accepted(&self) -> bool {
+        matches!(self, SoftLoraVerdict::Accepted { .. })
+    }
+
+    /// Whether a replay was flagged.
+    pub fn is_replay_detected(&self) -> bool {
+        matches!(self, SoftLoraVerdict::ReplayDetected { .. })
+    }
 }
 
 /// The server's deduplicated verdict for one uplink.
@@ -227,430 +242,6 @@ impl std::ops::AddAssign for ServerStats {
     }
 }
 
-/// Fluent builder for [`NetworkServer`].
-pub struct NetworkServerBuilder {
-    config: SoftLoraConfig,
-    gateway_seeds: Vec<u64>,
-    devices: Vec<(u32, DeviceKeys)>,
-    preloads: Vec<(u32, Vec<f64>)>,
-    arrival_tolerance_s: f64,
-    fb_spread_tolerance_hz: f64,
-    dedup_capacity: usize,
-    observers: Vec<Box<dyn ServerObserver>>,
-    shards: Option<usize>,
-    persist_dir: Option<PathBuf>,
-    snapshot_every: u64,
-    wal_segment_bytes: u64,
-    durability_window: Option<Duration>,
-    commit_hook: Option<Arc<dyn CommitHook>>,
-}
-
-impl NetworkServerBuilder {
-    /// Starts from the paper-faithful defaults for `phy`. Add gateways
-    /// with [`NetworkServerBuilder::gateway`]; with none, `build` creates
-    /// a single gateway seeded 0.
-    pub fn new(phy: PhyConfig) -> Self {
-        NetworkServerBuilder {
-            config: SoftLoraConfig::new(phy),
-            gateway_seeds: Vec::new(),
-            devices: Vec::new(),
-            preloads: Vec::new(),
-            // Fleet copies of one frame differ by propagation (µs); a
-            // millisecond already dwarfs any honest geometry.
-            arrival_tolerance_s: 1e-3,
-            // Normalised FBs of honest simultaneous copies differ by
-            // per-gateway estimation noise (tens to low hundreds of Hz at
-            // workable SNR); a replay chain adds ≥ 543 Hz.
-            fb_spread_tolerance_hz: 450.0,
-            dedup_capacity: 4096,
-            observers: Vec::new(),
-            shards: None,
-            persist_dir: None,
-            snapshot_every: 1024,
-            wal_segment_bytes: WalOptions::default().segment_bytes,
-            durability_window: None,
-            commit_hook: None,
-        }
-    }
-
-    /// Starts from an existing configuration.
-    pub fn from_config(config: SoftLoraConfig) -> Self {
-        let phy = config.phy;
-        let mut b = Self::new(phy);
-        b.config = config;
-        b
-    }
-
-    /// Adds a gateway whose SDR oscillator and per-delivery randomness are
-    /// drawn from `seed` (the same seed a standalone
-    /// [`crate::SoftLoraGateway`] would use).
-    pub fn gateway(mut self, seed: u64) -> Self {
-        self.gateway_seeds.push(seed);
-        self
-    }
-
-    /// Provisions a device's LoRaWAN session keys.
-    pub fn provision(mut self, dev_addr: u32, keys: DeviceKeys) -> Self {
-        self.devices.push((dev_addr, keys));
-        self
-    }
-
-    /// Pre-loads a device's FB history in gateway-0 reference frame
-    /// (offline database construction, paper §7.2).
-    pub fn preload_fb(mut self, dev_addr: u32, fbs_hz: &[f64]) -> Self {
-        self.preloads.push((dev_addr, fbs_hz.to_vec()));
-        self
-    }
-
-    /// Frames required before the shared FB database gives verdicts.
-    pub fn warmup_frames(mut self, frames: usize) -> Self {
-        self.config.warmup_frames = frames;
-        self
-    }
-
-    /// Device-capacity bound of the shared FB database (split across
-    /// shards; each shard holds `⌈bound / shards⌉` devices).
-    pub fn max_tracked_devices(mut self, devices: usize) -> Self {
-        self.config.max_tracked_devices = devices;
-        self
-    }
-
-    /// Whether to model ADC quantisation in the SDR captures.
-    pub fn adc_quantisation(mut self, enabled: bool) -> Self {
-        self.config.adc_quantisation = enabled;
-        self
-    }
-
-    /// Arrival window within which copies of one uplink are mutually
-    /// consistent, seconds.
-    pub fn arrival_tolerance_s(mut self, tolerance_s: f64) -> Self {
-        self.arrival_tolerance_s = tolerance_s;
-        self
-    }
-
-    /// Cross-gateway normalised-FB agreement tolerance, Hz.
-    pub fn fb_spread_tolerance_hz(mut self, tolerance_hz: f64) -> Self {
-        self.fb_spread_tolerance_hz = tolerance_hz;
-        self
-    }
-
-    /// Capacity of the recent-uplink dedup cache (per shard).
-    pub fn dedup_capacity(mut self, uplinks: usize) -> Self {
-        self.dedup_capacity = uplinks;
-        self
-    }
-
-    /// Attaches a [`ServerObserver`] receiving every committed verdict
-    /// and the running statistics.
-    pub fn observer(mut self, observer: Box<dyn ServerObserver>) -> Self {
-        self.observers.push(observer);
-        self
-    }
-
-    /// Number of device-hashed tail shards (floored at 1). Defaults to
-    /// [`std::thread::available_parallelism`]. `shards(1)` reduces the
-    /// tail to exactly the sequential commit loop; any other count is
-    /// verdict-identical because all tail state is per-device.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards.max(1));
-        self
-    }
-
-    /// Makes the tail durable under `dir`: every committed uplink group
-    /// appends a WAL record to its shard's log, snapshots are installed
-    /// every [`NetworkServerBuilder::snapshot_every`] records, and
-    /// [`NetworkServerBuilder::try_build`] recovers the tail (snapshot +
-    /// WAL replay) before serving. Rebuild with the same gateways,
-    /// devices, shard count and tuning — shard- and gateway-count changes
-    /// are refused.
-    pub fn with_persistence(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.persist_dir = Some(dir.into());
-        self
-    }
-
-    /// WAL records a shard accumulates before installing a snapshot and
-    /// compacting (floored at 1; default 1024).
-    pub fn snapshot_every(mut self, records: u64) -> Self {
-        self.snapshot_every = records.max(1);
-        self
-    }
-
-    /// WAL segment rotation threshold, bytes (default 1 MiB).
-    pub fn wal_segment_bytes(mut self, bytes: u64) -> Self {
-        self.wal_segment_bytes = bytes.max(1);
-        self
-    }
-
-    /// Enables interval-based group-commit fsync: a background thread
-    /// fsyncs every dirty shard WAL once per `window`, so a crash loses
-    /// at most the records committed inside the current window. Without
-    /// this, appends are flushed per batch but fsync only happens at
-    /// explicit [`NetworkServer::sync_persistence`] calls and snapshot
-    /// installs. Requires [`NetworkServerBuilder::with_persistence`].
-    pub fn durability_window(mut self, window: Duration) -> Self {
-        self.durability_window = Some(window);
-        self
-    }
-
-    /// Attaches a [`CommitHook`] receiving every sealed WAL frame and
-    /// snapshot marker — the feed a WAL-shipping replicator (the
-    /// `softlora-ha` crate) subscribes to. Only called when persistence
-    /// is enabled.
-    pub fn commit_hook(mut self, hook: Arc<dyn CommitHook>) -> Self {
-        self.commit_hook = Some(hook);
-        self
-    }
-
-    /// Assembles the server, recovering persisted state when
-    /// [`NetworkServerBuilder::with_persistence`] was set.
-    ///
-    /// # Errors
-    ///
-    /// Every [`StoreError`] is a persistence failure: the directory is
-    /// unusable, was created with a different gateway count, or holds
-    /// corrupt data beyond the recoverable torn tail. An explicit
-    /// `shards(n)` against a store pinned at a different count is **not**
-    /// an error: the store is migrated online (see
-    /// [`NetworkServerBuilder::shards`]).
-    pub fn try_build(self) -> Result<NetworkServer, StoreError> {
-        // Online resharding: when the caller explicitly asks for a shard
-        // count different from the pinned one, re-key the device state
-        // through a migration pass instead of refusing to open.
-        if let (Some(requested), Some(dir)) = (self.shards, self.persist_dir.clone()) {
-            if let Some(on_disk) = softlora_store::peek_shard_count(&dir)? {
-                if on_disk != requested {
-                    self.reshard(&dir, on_disk, requested)?;
-                }
-            }
-        }
-        let seeds = if self.gateway_seeds.is_empty() { vec![0] } else { self.gateway_seeds };
-        let fronts: Vec<GatewayFront> = seeds
-            .into_iter()
-            .map(|seed| GatewayFront {
-                pipeline: Pipeline::new(self.config.clone(), seed),
-                frames_seen: 0,
-            })
-            .collect();
-        let receiver_bias_hz: Arc<Vec<f64>> =
-            Arc::new(fronts.iter().map(|f| f.pipeline.capture.receiver_bias_hz()).collect());
-
-        // Explicit `shards(n)` wins; otherwise an existing store's pinned
-        // count wins over `available_parallelism()`, so an unchanged
-        // deployment reopens its own data after a core-count change.
-        let shard_count = match (self.shards, &self.persist_dir) {
-            (Some(n), _) => n,
-            (None, Some(dir)) => softlora_store::peek_shard_count(dir)?.unwrap_or_else(host_width),
-            (None, None) => host_width(),
-        }
-        .max(1);
-        // The device-capacity bound splits across shards; `shards(1)`
-        // keeps the exact single-store semantics.
-        let per_shard_devices = self.config.max_tracked_devices.div_ceil(shard_count).max(1);
-
-        let mut shards: Vec<ShardCore> = (0..shard_count)
-            .map(|index| ShardCore {
-                detector: ReplayDetector::new(
-                    FbDatabase::new(
-                        32,
-                        self.config.warmup_frames,
-                        self.config.band_floor_hz,
-                        self.config.band_sigma,
-                    )
-                    .with_max_devices(per_shard_devices),
-                ),
-                mac: MacStage::new(),
-                dedup: DedupCache::new(self.dedup_capacity),
-                arrival_tolerance_s: self.arrival_tolerance_s,
-                fb_spread_tolerance_hz: self.fb_spread_tolerance_hz,
-                stats: ServerStats::default(),
-                receiver_bias_hz: Arc::clone(&receiver_bias_hz),
-                index,
-                store: None,
-                snapshot_every: self.snapshot_every,
-                wal_buf: Encoder::new(),
-                pending_count: 0,
-                since_snapshot: 0,
-                last_global_seq: 0,
-                last_frames: Vec::new(),
-                installer: None,
-                hook: None,
-                metrics: ShardMetrics::new(index),
-            })
-            .collect();
-        // Per-device state — MAC sessions included — lives only in the
-        // shard owning the device, keeping key storage O(devices)
-        // instead of O(devices × shards).
-        for (dev_addr, keys) in self.devices {
-            shards[shard_of(u64::from(dev_addr), shard_count)].mac.provision(dev_addr, keys);
-        }
-        for (dev_addr, fbs) in &self.preloads {
-            shards[shard_of(u64::from(*dev_addr), shard_count)].detector.preload(*dev_addr, fbs);
-        }
-
-        let frames_cumulative = vec![0; fronts.len()];
-        let mut server = NetworkServer {
-            fronts,
-            tail: ServerTail {
-                shards,
-                observers: self.observers,
-                observed_stats: ServerStats::default(),
-                committed_groups: 0,
-                global_seq: 0,
-                frames_cumulative,
-                store: None,
-            },
-            installer: None,
-            committer: None,
-            arenas: host_arenas(),
-        };
-
-        if let Some(dir) = self.persist_dir {
-            let store = Arc::new(ShardedStore::open(
-                dir,
-                shard_count,
-                WalOptions { segment_bytes: self.wal_segment_bytes, ..WalOptions::default() },
-            )?);
-            server.recover_from(&store)?;
-            let installer = Arc::new(SnapshotInstaller::spawn(Arc::clone(&store)));
-            server.tail.store = Some(Arc::clone(&store));
-            for shard in &mut server.tail.shards {
-                shard.store = Some(Arc::clone(&store));
-                shard.installer = Some(Arc::clone(&installer));
-                shard.hook = self.commit_hook.clone();
-            }
-            server.installer = Some(installer);
-            if let Some(window) = self.durability_window {
-                server.committer = Some(GroupCommitter::spawn(Arc::clone(&store), window));
-            }
-        }
-        Ok(server)
-    }
-
-    /// Migrates a store pinned at `on_disk` shards to `new_n`: recover
-    /// the tail with the pinned count, decompose the per-device state
-    /// (FB histories, dedup entries, MAC counters), re-key everything
-    /// under the new placement, and write a fresh store — one snapshot
-    /// per new shard, no WAL tail — that atomically replaces the old
-    /// directory. Aggregate statistics are indivisible, so they ride on
-    /// the new shard 0; per-device state lands exactly where
-    /// [`shard_of`] now routes its device, keeping verdicts identical
-    /// (the sharded tail is verdict-invariant in the shard count).
-    fn reshard(&self, dir: &Path, on_disk: usize, new_n: usize) -> Result<(), StoreError> {
-        let mut recovery_builder = NetworkServerBuilder::from_config(self.config.clone());
-        recovery_builder.gateway_seeds = self.gateway_seeds.clone();
-        recovery_builder.devices = self.devices.clone();
-        recovery_builder.preloads = self.preloads.clone();
-        recovery_builder.arrival_tolerance_s = self.arrival_tolerance_s;
-        recovery_builder.fb_spread_tolerance_hz = self.fb_spread_tolerance_hz;
-        recovery_builder.dedup_capacity = self.dedup_capacity;
-        recovery_builder.shards = Some(on_disk);
-        recovery_builder.persist_dir = Some(dir.to_path_buf());
-        recovery_builder.snapshot_every = self.snapshot_every;
-        recovery_builder.wal_segment_bytes = self.wal_segment_bytes;
-        // Counts now match, so this recursion terminates at depth one.
-        let old = recovery_builder.try_build()?;
-        let epoch = old.tail.store.as_ref().expect("recovery server has a store").epoch()?;
-        let global_seq = old.tail.global_seq;
-        let frames = old.tail.frames_cumulative.clone();
-
-        // Decompose: pool every shard's per-device state, plus the
-        // indivisible aggregates.
-        let mut histories: Vec<(u32, u64, Vec<f64>)> = Vec::new();
-        let mut dedups: Vec<DedupRecord> = Vec::new();
-        let mut fcnts: Vec<(u32, u16)> = Vec::new();
-        let mut stats = ServerStats::default();
-        let mut det = DetectionStats::default();
-        let (mut mac_accepted, mut mac_rejected) = (0u64, 0u64);
-        for shard in &old.tail.shards {
-            let db = shard.detector.db();
-            histories.extend(db.export_histories());
-            dedups.extend(shard.dedup.entries_in_order().map(
-                |(dev_addr, fcnt, payload_hash, arrival_global_s, gateway)| DedupRecord {
-                    dev_addr,
-                    fcnt,
-                    payload_hash,
-                    arrival_global_s,
-                    gateway: gateway as u32,
-                },
-            ));
-            fcnts.extend(shard.mac.session_fcnts());
-            stats += shard.stats;
-            det += shard.detector.stats();
-            let (a, r) = shard.mac.frame_counts();
-            mac_accepted += a;
-            mac_rejected += r;
-        }
-        drop(old);
-        // Deterministic re-keying: sort by stable keys so the migrated
-        // store is identical however the old shards interleaved.
-        histories.sort_by_key(|a| (a.1, a.0));
-        dedups.sort_by(|a, b| {
-            a.arrival_global_s
-                .total_cmp(&b.arrival_global_s)
-                .then((a.dev_addr, a.fcnt).cmp(&(b.dev_addr, b.fcnt)))
-        });
-        fcnts.sort_unstable();
-
-        let mut tmp_name = dir.as_os_str().to_owned();
-        tmp_name.push(".reshard-tmp");
-        let tmp = PathBuf::from(tmp_name);
-        let mut old_name = dir.as_os_str().to_owned();
-        old_name.push(".reshard-old");
-        let retired = PathBuf::from(old_name);
-        if tmp.exists() {
-            std::fs::remove_dir_all(&tmp)?;
-        }
-        if retired.exists() {
-            std::fs::remove_dir_all(&retired)?;
-        }
-        {
-            let options =
-                WalOptions { segment_bytes: self.wal_segment_bytes, ..WalOptions::default() };
-            let store = ShardedStore::open(&tmp, new_n, options)?;
-            let _ = store.take_recovery();
-            store.set_epoch(epoch)?;
-            for j in 0..new_n {
-                let owned = |dev: u32| shard_of(u64::from(dev), new_n) == j;
-                let shard_histories: Vec<(u32, u64, Vec<f64>)> = histories
-                    .iter()
-                    .filter(|(dev, _, _)| owned(*dev))
-                    .enumerate()
-                    .map(|(tick, (dev, _, fbs))| (*dev, tick as u64, fbs.clone()))
-                    .collect();
-                let db_clock = shard_histories.len() as u64;
-                let snapshot = ShardSnapshot {
-                    global_seq,
-                    frames_cumulative: frames.clone(),
-                    stats: if j == 0 { stats } else { ServerStats::default() },
-                    det: if j == 0 { det } else { DetectionStats::default() },
-                    mac_accepted: if j == 0 { mac_accepted } else { 0 },
-                    mac_rejected: if j == 0 { mac_rejected } else { 0 },
-                    mac_fcnts: fcnts.iter().copied().filter(|(dev, _)| owned(*dev)).collect(),
-                    db_clock,
-                    db_histories: shard_histories,
-                    dedup: dedups.iter().filter(|e| owned(e.dev_addr)).cloned().collect(),
-                };
-                store
-                    .shard(j)
-                    .lock()
-                    .expect("shard wal poisoned")
-                    .install_snapshot(&snapshot.encode())?;
-            }
-            store.sync()?;
-        }
-        std::fs::rename(dir, &retired)?;
-        std::fs::rename(&tmp, dir)?;
-        std::fs::remove_dir_all(&retired)?;
-        Ok(())
-    }
-
-    /// Assembles the server; panics on a persistence failure (use
-    /// [`NetworkServerBuilder::try_build`] to handle recovery errors).
-    pub fn build(self) -> NetworkServer {
-        self.try_build().expect("network server persistence recovery failed")
-    }
-}
-
 /// What one shard commit produced: the verdict plus the bookkeeping the
 /// ordered observer replay needs.
 pub(crate) struct CommitOutcome {
@@ -661,11 +252,15 @@ pub(crate) struct CommitOutcome {
 
 /// Per-shard telemetry handles into the process-wide registry, resolved
 /// once at build time so the commit path records with nothing but
-/// relaxed atomic adds. The verdict/dedup/eviction counters share their
-/// cells across shards (same series key); the commit-latency histogram
-/// is labeled per shard.
+/// relaxed atomic adds. The verdict/dedup/eviction counters and the
+/// detect/MAC stage histograms share their cells across shards (same
+/// series key); the commit-latency histogram is labeled per shard.
 pub(crate) struct ShardMetrics {
     commit_ns: softlora_telemetry::Histogram,
+    /// `gateway_stage_ns`: the shard records the `detect` (FB check and
+    /// its scoring) and `mac` (MIC/counter verification and record
+    /// timestamping) stages.
+    stages: StageMetrics,
     accepted: softlora_telemetry::Counter,
     replays: softlora_telemetry::Counter,
     rejected: softlora_telemetry::Counter,
@@ -680,6 +275,7 @@ impl ShardMetrics {
         ShardMetrics {
             commit_ns: registry
                 .histogram_with("server_commit_ns", &[("shard", shard_label.as_str())]),
+            stages: StageMetrics::new(),
             accepted: registry.counter_with("server_verdicts_total", &[("verdict", "accept")]),
             replays: registry.counter_with("server_verdicts_total", &[("verdict", "replay")]),
             rejected: registry.counter_with("server_verdicts_total", &[("verdict", "reject")]),
@@ -869,7 +465,7 @@ pub struct NetworkServer {
     /// window was configured.
     pub(crate) committer: Option<GroupCommitter>,
     /// One DSP arena per `process_batch` worker.
-    arenas: Vec<DspScratch>,
+    pub(crate) arenas: Vec<DspScratch>,
 }
 
 impl std::fmt::Debug for NetworkServer {
@@ -919,6 +515,12 @@ impl NetworkServer {
         self.fronts[gateway].frames_seen
     }
 
+    /// Gateway `g`'s front-half pipeline (read access: its configuration,
+    /// its stages, and the onset picker's run count).
+    pub fn pipeline(&self, gateway: usize) -> &Pipeline {
+        &self.fronts[gateway].pipeline
+    }
+
     /// Provisions a device's LoRaWAN session keys (into the shard owning
     /// the device).
     pub fn provision(&mut self, dev_addr: u32, keys: DeviceKeys) {
@@ -932,8 +534,7 @@ impl NetworkServer {
         self.tail.shards[shard].detector.preload(dev_addr, fbs_hz);
     }
 
-    /// Attaches a [`ServerObserver`] (see [`crate::observer`] for the
-    /// gateway-tier counterpart).
+    /// Attaches a [`ServerObserver`].
     pub fn attach_observer(&mut self, observer: Box<dyn ServerObserver>) {
         self.tail.observers.push(observer);
     }
@@ -1198,7 +799,7 @@ impl NetworkServer {
     /// record was still buffered in a dead process — rather than
     /// silently skipping the lost commit and desynchronising the
     /// per-gateway frame indices.
-    fn recover_from(&mut self, store: &Arc<ShardedStore>) -> Result<(), StoreError> {
+    pub(crate) fn recover_from(&mut self, store: &Arc<ShardedStore>) -> Result<(), StoreError> {
         let gateways = self.fronts.len();
         let frames_check = |frames: &[u64]| -> Result<(), StoreError> {
             if frames.len() != gateways {
@@ -1291,10 +892,11 @@ impl NetworkServer {
         Ok(())
     }
 
-    /// Processes one delivery heard by one gateway (a group of one). The
-    /// single-gateway compatibility surface: feeding gateway 0 the same
-    /// delivery stream a standalone [`crate::SoftLoraGateway`] (same seed)
-    /// processes produces bit-identical verdicts.
+    /// Processes one delivery heard by one gateway (a group of one) —
+    /// the sequential oracle: a `process_batch` over the same stream, one
+    /// group per delivery, gives bit-identical verdicts. Never merge two
+    /// standalone deliveries into one group: the server would judge them
+    /// as copies of one uplink.
     ///
     /// # Errors
     ///
@@ -1342,7 +944,7 @@ impl NetworkServer {
     /// On an infrastructure failure inside group `k`, groups `0..k` are
     /// committed and the error is returned. Per-gateway frame indices are
     /// consumed up to and including the failing copy (exactly as
-    /// [`crate::SoftLoraGateway::process`] consumes an index for an
+    /// [`NetworkServer::process_delivery`] consumes an index for an
     /// erroring delivery), so a retried group `k` draws fresh randomness
     /// rather than replaying the failed indices. On a persistence failure
     /// the batch also stops early; groups already committed by *other*
@@ -1413,8 +1015,16 @@ impl NetworkServer {
         for (i, fronts_of_group) in complete {
             per_shard[metas[i].0].push((i, fronts_of_group));
         }
-        let tasks: Vec<(&mut ShardCore, ShardWork)> =
-            self.tail.shards.iter_mut().zip(per_shard).collect();
+        // A shard with no group and nothing pending would only run a
+        // no-op seal: leave it out, so a one-group call commits on the
+        // calling thread instead of spawning helpers for empty lists.
+        let tasks: Vec<(&mut ShardCore, ShardWork)> = self
+            .tail
+            .shards
+            .iter_mut()
+            .zip(per_shard)
+            .filter(|(shard, list)| !list.is_empty() || shard.pending_count > 0)
+            .collect();
         let (metas, frame_rows) = (&metas, &frame_rows);
         let committed = fan_out(&mut self.arenas, tasks, |_, (shard, list)| {
             let mut out = Vec::with_capacity(list.len());
@@ -1517,7 +1127,7 @@ impl ShardCore {
         global_seq: u64,
         frames_cumulative: &[u64],
     ) -> Result<CommitOutcome, SoftLoraError> {
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let result = self.commit_impl(group, fronts, global_seq, frames_cumulative);
         self.metrics.commit_ns.record_duration(start.elapsed());
         if let Ok(outcome) = &result {
@@ -1887,8 +1497,10 @@ impl ShardCore {
         // FB-consistency replay check against the shared per-device
         // history, in gateway-0 reference frame.
         let fb_norm = self.normalized_fb(best_gateway, best_frame.fb.delta_hz);
+        let t = Instant::now();
         let fb_verdict = self.detector.check(claimed_dev, fb_norm);
         self.detector.score(fb_verdict, best_delivery.is_replay);
+        self.metrics.stages.record(Stage::Detect, t.elapsed().as_secs_f64());
         if let ReplayVerdict::ReplayDetected { deviation_hz, band_hz } = fb_verdict {
             signals.push(ReplaySignal::FbInconsistent {
                 gateway: best_gateway,
@@ -1911,7 +1523,9 @@ impl ShardCore {
 
         // LoRaWAN verification + synchronization-free timestamping at the
         // chosen copy's PHY arrival instant.
+        let t = Instant::now();
         let rx = self.mac.verify(&best_delivery.bytes, best_frame.onset.phy_arrival_s);
+        self.metrics.stages.record(Stage::Mac, t.elapsed().as_secs_f64());
         let verdict = match rx {
             RxVerdict::Accepted(uplink) => {
                 ops.mac_fcnt = Some((uplink.dev_addr, uplink.fcnt));
@@ -1957,9 +1571,8 @@ struct TailOps {
 mod tests {
     use super::*;
     use softlora_lorawan::{ClassADevice, DeviceConfig};
-    use softlora_phy::rn2483::ReceptionOutcome;
-    use softlora_phy::{PhyConfig, SpreadingFactor};
-    use softlora_sim::Delivery;
+    use softlora_phy::SpreadingFactor;
+    use std::sync::Mutex;
 
     fn phy() -> PhyConfig {
         PhyConfig::uplink(SpreadingFactor::Sf7)
@@ -2265,6 +1878,27 @@ mod tests {
         for arenas in [2, 4] {
             assert_eq!(run(arenas), one, "{arenas} arenas");
         }
+    }
+
+    #[test]
+    fn detect_and_mac_stage_timers_cover_the_server_tail() {
+        // The registry is process-global and other tests commit too, so
+        // read the series as deltas and require at least our frames.
+        let stage = |name: &str| {
+            softlora_telemetry::global()
+                .histogram_with("gateway_stage_ns", &[("stage", name)])
+                .snapshot()
+                .count
+        };
+        let (detect_before, mac_before) = (stage("detect"), stage("mac"));
+        let (mut dev, mut srv) = server(1);
+        let k = 4;
+        for j in 0..k {
+            let d = delivery(&mut dev, 100.0 + 200.0 * j as f64, -22_000.0, 10.0);
+            assert!(srv.process_delivery(0, &d).unwrap().is_accepted(), "frame {j}");
+        }
+        assert!(stage("detect") >= detect_before + k, "detect series missed the shard tail");
+        assert!(stage("mac") >= mac_before + k, "mac series missed the shard tail");
     }
 
     #[test]

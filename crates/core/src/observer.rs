@@ -1,23 +1,15 @@
-//! Gateway event observers: per-frame outcomes and per-stage timing.
+//! Observability hooks: the named pipeline stages that label the
+//! `gateway_stage_ns` latency series, and [`ServerObserver`], through
+//! which the network server reports every committed verdict.
 //!
-//! Experiments, examples and operational telemetry all used to
-//! pattern-match [`SoftLoraVerdict`](crate::SoftLoraVerdict) by hand.
-//! [`GatewayObserver`] inverts that: the gateway pushes typed events —
-//! accept / replay-flag / reject plus a timing sample per pipeline stage —
-//! and consumers implement only the hooks they care about.
-//!
-//! Observers are invoked **sequentially in arrival order**, including for
-//! [`SoftLoraGateway::process_batch`](crate::SoftLoraGateway::process_batch):
-//! stage timings are measured inside the (possibly parallel) front half and
-//! replayed to observers when the frame's verdict is committed, so an
-//! observer never needs to be thread-safe.
+//! Observers are invoked **in uplink order**, including for
+//! [`crate::NetworkServer::process_batch`]: the shard tails commit in parallel,
+//! and the server replays their verdicts and running statistics to the
+//! observers afterwards, exactly as a sequential tail would have.
 
-use crate::fb_estimator::FbEstimate;
-use crate::phy_timestamp::PhyTimestamp;
-use softlora_lorawan::ReceivedUplink;
-use softlora_phy::rn2483::ReceptionOutcome;
-use std::cell::RefCell;
-use std::rc::Rc;
+use crate::fb_db::FbEviction;
+use crate::network_server::{ServerStats, ServerVerdict};
+use crate::SoftLoraError;
 use std::sync::{Arc, Mutex};
 
 /// The named stages of the SoftLoRa gateway pipeline (paper §5.3, Fig. 4).
@@ -62,222 +54,88 @@ impl Stage {
     }
 }
 
-/// Payload of an accepted, timestamped frame.
-#[derive(Debug, Clone, Copy)]
-pub struct AcceptEvent<'a> {
-    /// The verified uplink with reconstructed record timestamps.
-    pub uplink: &'a ReceivedUplink,
-    /// The frame's estimated frequency bias.
-    pub fb: &'a FbEstimate,
-    /// The PHY-layer onset timestamp within the capture.
-    pub timestamp: PhyTimestamp,
-    /// PHY arrival instant on the gateway clock, seconds.
-    pub phy_arrival_s: f64,
-    /// Whether the FB database was still warming up for this device.
-    pub learning: bool,
-}
-
-/// Payload of a frame dropped by the FB replay check.
-#[derive(Debug, Clone, Copy)]
-pub struct ReplayFlagEvent {
-    /// Claimed source address.
-    pub dev_addr: u32,
-    /// FB deviation from the tracked centre, Hz.
-    pub deviation_hz: f64,
-    /// The exceeded band half-width, Hz.
-    pub band_hz: f64,
-}
-
-/// Payload of a frame the gateway did not accept (outside the FB check).
-#[derive(Debug, Clone, Copy)]
-pub enum RejectEvent<'a> {
-    /// The commodity radio never handed the frame to the host.
-    NotReceived {
-        /// What the chip experienced.
-        outcome: ReceptionOutcome,
-    },
-    /// The LoRaWAN layer rejected the frame (MIC, counter, unknown device).
-    Lorawan {
-        /// Printable rejection reason.
-        reason: &'a str,
-    },
-}
-
-/// Hooks the gateway calls while processing deliveries. All methods have
-/// empty defaults; implement only what you consume.
+/// Hooks the network server calls as it commits deduplicated verdicts.
+/// The batch path ([`crate::NetworkServer::process_batch`]) and the streaming paths
+/// (`softlora::streaming`) drive the same hooks, so observability does
+/// not depend on the execution mode. All methods have empty defaults.
+///
+/// Observers run on whichever thread commits the verdict (the streaming
+/// sink blocks run on scheduler workers), hence the `Send` bound.
 #[allow(unused_variables)]
-pub trait GatewayObserver {
-    /// A frame was accepted and its records timestamped.
-    fn on_accept(&mut self, frame_index: u64, event: AcceptEvent<'_>) {}
+pub trait ServerObserver: Send {
+    /// One uplink group was deduplicated to its authoritative verdict.
+    fn on_verdict(&mut self, uplink: u64, verdict: &ServerVerdict) {}
 
-    /// A frame was flagged as a replay and dropped before timestamping.
-    fn on_replay_flag(&mut self, frame_index: u64, event: ReplayFlagEvent) {}
+    /// Aggregate statistics after committing that uplink.
+    fn on_stats(&mut self, stats: ServerStats) {}
 
-    /// A frame was rejected for a non-replay reason.
-    fn on_reject(&mut self, frame_index: u64, event: RejectEvent<'_>) {}
+    /// The FB database's capacity bound evicted a device while learning
+    /// from this uplink; the dropped history rides along so the loss is
+    /// auditable (it also lands in the WAL when persistence is on).
+    fn on_eviction(&mut self, uplink: u64, eviction: &FbEviction) {}
 
-    /// One pipeline stage ran for `frame_index`, taking `elapsed_s`
-    /// seconds. Emitted once per executed stage per frame — a frame that
-    /// never reached the host only reports [`Stage::RadioFrontEnd`].
-    fn on_stage(&mut self, frame_index: u64, stage: Stage, elapsed_s: f64) {}
+    /// A gateway front end failed with an infrastructure error; the
+    /// stream (or batch) stops after this uplink.
+    fn on_error(&mut self, uplink: u64, error: &SoftLoraError) {}
 }
 
-impl<T: GatewayObserver> GatewayObserver for Rc<RefCell<T>> {
-    fn on_accept(&mut self, frame_index: u64, event: AcceptEvent<'_>) {
-        self.borrow_mut().on_accept(frame_index, event);
+impl<T: ServerObserver> ServerObserver for Arc<Mutex<T>> {
+    fn on_verdict(&mut self, uplink: u64, verdict: &ServerVerdict) {
+        self.lock().expect("server observer poisoned").on_verdict(uplink, verdict);
     }
-    fn on_replay_flag(&mut self, frame_index: u64, event: ReplayFlagEvent) {
-        self.borrow_mut().on_replay_flag(frame_index, event);
+    fn on_stats(&mut self, stats: ServerStats) {
+        self.lock().expect("server observer poisoned").on_stats(stats);
     }
-    fn on_reject(&mut self, frame_index: u64, event: RejectEvent<'_>) {
-        self.borrow_mut().on_reject(frame_index, event);
+    fn on_eviction(&mut self, uplink: u64, eviction: &FbEviction) {
+        self.lock().expect("server observer poisoned").on_eviction(uplink, eviction);
     }
-    fn on_stage(&mut self, frame_index: u64, stage: Stage, elapsed_s: f64) {
-        self.borrow_mut().on_stage(frame_index, stage, elapsed_s);
-    }
-}
-
-impl<T: GatewayObserver> GatewayObserver for Arc<Mutex<T>> {
-    fn on_accept(&mut self, frame_index: u64, event: AcceptEvent<'_>) {
-        self.lock().expect("observer poisoned").on_accept(frame_index, event);
-    }
-    fn on_replay_flag(&mut self, frame_index: u64, event: ReplayFlagEvent) {
-        self.lock().expect("observer poisoned").on_replay_flag(frame_index, event);
-    }
-    fn on_reject(&mut self, frame_index: u64, event: RejectEvent<'_>) {
-        self.lock().expect("observer poisoned").on_reject(frame_index, event);
-    }
-    fn on_stage(&mut self, frame_index: u64, stage: Stage, elapsed_s: f64) {
-        self.lock().expect("observer poisoned").on_stage(frame_index, stage, elapsed_s);
-    }
-}
-
-/// A ready-made observer tallying outcomes and per-stage run counts and
-/// times — what most experiments and examples need.
-///
-/// # Example
-///
-/// ```
-/// use softlora::observer::{GatewayStats, Stage};
-/// use softlora::{SoftLoraGateway};
-/// use softlora_phy::{PhyConfig, SpreadingFactor};
-/// use std::cell::RefCell;
-/// use std::rc::Rc;
-///
-/// let stats = Rc::new(RefCell::new(GatewayStats::default()));
-/// let gw = SoftLoraGateway::builder(PhyConfig::uplink(SpreadingFactor::Sf7))
-///     .seed(1)
-///     .observer(Box::new(Rc::clone(&stats)))
-///     .build();
-/// assert_eq!(stats.borrow().stage_runs(Stage::Onset), 0);
-/// # let _ = gw;
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct GatewayStats {
-    /// Frames accepted and timestamped.
-    pub accepted: u64,
-    /// Accepted frames that were still in the FB learning phase.
-    pub accepted_learning: u64,
-    /// Frames flagged as replays.
-    pub replays_flagged: u64,
-    /// Frames the radio never delivered.
-    pub not_received: u64,
-    /// Frames rejected by the LoRaWAN layer.
-    pub lorawan_rejected: u64,
-    /// Sum of reconstructed-record timestamp count over accepted frames.
-    pub records_timestamped: u64,
-    stage_runs: [u64; 6],
-    stage_time_s: [f64; 6],
-}
-
-impl GatewayStats {
-    /// Total frames that produced any verdict.
-    pub fn frames(&self) -> u64 {
-        self.accepted + self.replays_flagged + self.not_received + self.lorawan_rejected
-    }
-
-    /// How many times `stage` ran.
-    pub fn stage_runs(&self, stage: Stage) -> u64 {
-        self.stage_runs[stage_slot(stage)]
-    }
-
-    /// Total seconds spent in `stage`.
-    pub fn stage_time_s(&self, stage: Stage) -> f64 {
-        self.stage_time_s[stage_slot(stage)]
-    }
-}
-
-fn stage_slot(stage: Stage) -> usize {
-    match stage {
-        Stage::RadioFrontEnd => 0,
-        Stage::CaptureSynth => 1,
-        Stage::Onset => 2,
-        Stage::Fb => 3,
-        Stage::Detect => 4,
-        Stage::Mac => 5,
-    }
-}
-
-impl GatewayObserver for GatewayStats {
-    fn on_accept(&mut self, _frame_index: u64, event: AcceptEvent<'_>) {
-        self.accepted += 1;
-        if event.learning {
-            self.accepted_learning += 1;
-        }
-        self.records_timestamped += event.uplink.records.len() as u64;
-    }
-
-    fn on_replay_flag(&mut self, _frame_index: u64, _event: ReplayFlagEvent) {
-        self.replays_flagged += 1;
-    }
-
-    fn on_reject(&mut self, _frame_index: u64, event: RejectEvent<'_>) {
-        match event {
-            RejectEvent::NotReceived { .. } => self.not_received += 1,
-            RejectEvent::Lorawan { .. } => self.lorawan_rejected += 1,
-        }
-    }
-
-    fn on_stage(&mut self, _frame_index: u64, stage: Stage, elapsed_s: f64) {
-        let slot = stage_slot(stage);
-        self.stage_runs[slot] += 1;
-        self.stage_time_s[slot] += elapsed_s;
+    fn on_error(&mut self, uplink: u64, error: &SoftLoraError) {
+        self.lock().expect("server observer poisoned").on_error(uplink, error);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network_server::SoftLoraVerdict;
+    use softlora_phy::rn2483::ReceptionOutcome;
 
-    #[test]
-    fn stats_tally_events() {
-        let mut s = GatewayStats::default();
-        s.on_stage(0, Stage::Onset, 1e-4);
-        s.on_stage(1, Stage::Onset, 2e-4);
-        s.on_replay_flag(1, ReplayFlagEvent { dev_addr: 7, deviation_hz: -600.0, band_hz: 360.0 });
-        s.on_reject(2, RejectEvent::NotReceived { outcome: ReceptionOutcome::SilentDrop });
-        s.on_reject(3, RejectEvent::Lorawan { reason: "bad mic" });
-        assert_eq!(s.stage_runs(Stage::Onset), 2);
-        assert!((s.stage_time_s(Stage::Onset) - 3e-4).abs() < 1e-12);
-        assert_eq!(s.replays_flagged, 1);
-        assert_eq!(s.not_received, 1);
-        assert_eq!(s.lorawan_rejected, 1);
-        assert_eq!(s.frames(), 3);
+    #[derive(Default)]
+    struct Tally {
+        verdicts: u64,
+        uplinks: u64,
+        errors: u64,
+    }
+
+    impl ServerObserver for Tally {
+        fn on_verdict(&mut self, _uplink: u64, _verdict: &ServerVerdict) {
+            self.verdicts += 1;
+        }
+        fn on_stats(&mut self, stats: ServerStats) {
+            self.uplinks = stats.uplinks;
+        }
+        fn on_error(&mut self, _uplink: u64, _error: &SoftLoraError) {
+            self.errors += 1;
+        }
     }
 
     #[test]
     fn shared_handle_observers_delegate() {
-        let shared = Rc::new(RefCell::new(GatewayStats::default()));
-        let mut handle = Rc::clone(&shared);
-        handle.on_stage(0, Stage::Fb, 0.5);
-        assert_eq!(shared.borrow().stage_runs(Stage::Fb), 1);
-
-        let sync = Arc::new(Mutex::new(GatewayStats::default()));
-        let mut handle = Arc::clone(&sync);
-        handle.on_replay_flag(
-            0,
-            ReplayFlagEvent { dev_addr: 1, deviation_hz: 700.0, band_hz: 360.0 },
-        );
-        assert_eq!(sync.lock().unwrap().replays_flagged, 1);
+        let shared = Arc::new(Mutex::new(Tally::default()));
+        let mut handle = Arc::clone(&shared);
+        let verdict = ServerVerdict {
+            verdict: SoftLoraVerdict::NotReceived { outcome: ReceptionOutcome::SilentDrop },
+            gateway: None,
+            copies_heard: 0,
+            duplicates_suppressed: 0,
+            signals: Vec::new(),
+        };
+        handle.on_verdict(0, &verdict);
+        handle.on_stats(ServerStats { uplinks: 1, not_received: 1, ..ServerStats::default() });
+        handle.on_error(1, &SoftLoraError::Capture { reason: "too short" });
+        let tally = shared.lock().unwrap();
+        assert_eq!(tally.verdicts, 1);
+        assert_eq!(tally.uplinks, 1);
+        assert_eq!(tally.errors, 1);
     }
 }

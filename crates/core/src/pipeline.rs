@@ -5,18 +5,18 @@
 //! intermediates flowing between them:
 //!
 //! ```text
-//! RadioFrontEnd ─▶ CaptureSynth ─▶ OnsetStage ─▶ FbStage ─▶ DetectStage ─▶ MacStage
+//! RadioFrontEnd ─▶ CaptureSynth ─▶ OnsetStage ─▶ FbStage ─▶ FB check ─▶ MacStage
 //!  RadioDecision    CaptureOutput    OnsetOutput   FbEstimate  ReplayVerdict  SoftLoraVerdict
 //! ```
 //!
-//! The first four stages — the **front half** — are pure per-delivery
-//! functions of `(configuration, gateway seed, frame index)`: they take
-//! `&self`, draw all randomness from a per-delivery generator derived from
-//! the seed and index, and can therefore run for many deliveries in
-//! parallel. The detector and LoRaWAN MAC — the **back half** — are
-//! stateful (FB history, frame counters) and must run sequentially in
-//! arrival order. [`crate::SoftLoraGateway::process_batch`] exploits
-//! exactly this split.
+//! The first four stages — the **front half**, one [`Pipeline`] per
+//! gateway — are pure per-delivery functions of `(configuration, gateway
+//! seed, frame index)`: they take `&self`, draw all randomness from a
+//! per-delivery generator derived from the seed and index, and can
+//! therefore run for many deliveries in parallel. The FB check and the
+//! LoRaWAN MAC — the **back half** — are stateful (FB history, frame
+//! counters) and run per device in arrival order, in the network
+//! server's shard tail ([`crate::NetworkServer`]).
 //!
 //! The onset is picked **once** per frame, in [`OnsetStage`], and its
 //! output feeds both the PHY arrival timestamp and the FB estimator's
@@ -25,11 +25,9 @@
 //! [`OnsetStage::picker_runs`] exists so tests can pin this down.)
 
 use crate::config::SoftLoraConfig;
-use crate::fb_db::FbDatabase;
 use crate::fb_estimator::{FbEstimate, FbEstimator, FbMethod};
 use crate::observer::Stage;
 use crate::phy_timestamp::{PhyTimestamp, PhyTimestamper};
-use crate::replay_detect::{DetectionStats, ReplayDetector, ReplayVerdict};
 use crate::SoftLoraError;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -324,58 +322,9 @@ impl FbStage {
     }
 }
 
-/// Stage 5: the stateful FB-consistency replay check. Sequential — the
-/// database must observe frames in arrival order.
-#[derive(Debug, Clone)]
-pub struct DetectStage {
-    detector: ReplayDetector,
-}
-
-impl DetectStage {
-    /// Builds the stage from the gateway configuration.
-    pub fn new(config: &SoftLoraConfig) -> Self {
-        DetectStage {
-            detector: ReplayDetector::new(
-                FbDatabase::new(32, config.warmup_frames, config.band_floor_hz, config.band_sigma)
-                    .with_max_devices(config.max_tracked_devices),
-            ),
-        }
-    }
-
-    /// Read access to the FB database.
-    pub fn db(&self) -> &FbDatabase {
-        self.detector.db()
-    }
-
-    /// Accumulated evaluation statistics.
-    pub fn stats(&self) -> DetectionStats {
-        self.detector.stats()
-    }
-
-    /// Pre-loads a device's FB history (offline database construction).
-    pub fn preload(&mut self, dev_addr: u32, fbs_hz: &[f64]) {
-        self.detector.preload(dev_addr, fbs_hz);
-    }
-
-    /// Checks a frame's FB against the claimed device's history and scores
-    /// the verdict against ground truth. Does **not** learn — learning is
-    /// deferred until the MAC layer accepts the frame.
-    pub fn check(&mut self, claimed_dev: u32, fb_hz: f64, actually_replay: bool) -> ReplayVerdict {
-        let verdict = self.detector.check(claimed_dev, fb_hz);
-        self.detector.score(verdict, actually_replay);
-        verdict
-    }
-
-    /// Records an accepted frame's FB into the claimed device's history;
-    /// a capacity eviction comes back as an audit record.
-    pub fn learn(&mut self, claimed_dev: u32, fb_hz: f64) -> Option<crate::fb_db::FbEviction> {
-        self.detector.learn(claimed_dev, fb_hz)
-    }
-}
-
 /// Stage 6: LoRaWAN verification (MIC, counter, device lookup) and
-/// synchronization-free record timestamping. Sequential — frame counters
-/// are per-device monotonic state.
+/// synchronization-free record timestamping, one per server shard.
+/// Sequential per device — frame counters are per-device monotonic state.
 #[derive(Debug, Clone, Default)]
 pub struct MacStage {
     lorawan: LorawanGateway,
@@ -424,7 +373,8 @@ impl MacStage {
 pub type StageTiming = (Stage, f64);
 
 /// Per-stage latency histograms in the process-wide telemetry registry
-/// (`gateway_stage_ns{stage="radio"|…|"mac"}`).
+/// (`gateway_stage_ns{stage="radio"|…|"fb"}`; the server's shards record
+/// the `detect` and `mac` series of the same family).
 ///
 /// Handles are resolved once at pipeline construction; recording a
 /// sample on the warm path is three relaxed atomic adds — the
@@ -538,13 +488,13 @@ pub struct AnalyzedFrame {
     pub timings: StageTimings,
 }
 
-/// The assembled six-stage pipeline.
+/// One gateway's front half: the four stateless stages.
 ///
-/// Construct via [`crate::GatewayBuilder`] (or
-/// [`crate::SoftLoraGateway::new`]); drive via
-/// [`crate::SoftLoraGateway::process`] /
-/// [`crate::SoftLoraGateway::process_batch`], or call the stages directly
-/// for experiments that only need part of the chain.
+/// A [`crate::NetworkServer`] builds one per gateway and drives it from
+/// `process_delivery` / `process_batch` (read it back with
+/// [`crate::NetworkServer::pipeline`]); experiments that only need part
+/// of the chain build one with [`Pipeline::new`] and call the stages
+/// directly.
 #[derive(Debug)]
 pub struct Pipeline {
     config: SoftLoraConfig,
@@ -556,10 +506,6 @@ pub struct Pipeline {
     pub onset: OnsetStage,
     /// Stage 4: FB estimation.
     pub fb: FbStage,
-    /// Stage 5: replay detection (stateful).
-    pub detect: DetectStage,
-    /// Stage 6: LoRaWAN MAC (stateful).
-    pub mac: MacStage,
     /// Per-stage latency histograms (process-wide registry handles).
     pub stage_metrics: StageMetrics,
 }
@@ -577,14 +523,11 @@ impl Pipeline {
         let capture = CaptureSynth::new(&config, seed);
         let fb = FbStage::new(&config, capture.sample_rate());
         let onset = OnsetStage::new(PhyTimestamper::new(config.onset_method));
-        let detect = DetectStage::new(&config);
         Pipeline {
             radio: RadioFrontEnd::new(),
             capture,
             onset,
             fb,
-            detect,
-            mac: MacStage::new(),
             stage_metrics: StageMetrics::new(),
             config,
         }

@@ -36,8 +36,9 @@
 //! across shards (concurrency is the point).
 
 use crate::network_server::{
-    CommitOutcome, GatewayFront, NetworkServer, ServerObserver, ServerStats, ServerTail, ShardCore,
+    CommitOutcome, GatewayFront, NetworkServer, ServerStats, ServerTail, ShardCore,
 };
+use crate::observer::ServerObserver;
 use crate::pipeline::FrontFrame;
 use crate::replay_detect::DetectionStats;
 use crate::SoftLoraError;

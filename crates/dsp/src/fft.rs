@@ -116,11 +116,6 @@ pub fn fft_real(input: &[f64]) -> Vec<Complex> {
     })
 }
 
-/// Power spectrum `|X_k|^2` of a complex signal (zero-padded FFT).
-pub fn power_spectrum(input: &[Complex]) -> Vec<f64> {
-    fft_forward(input).iter().map(|z| z.norm_sqr()).collect()
-}
-
 /// Index of the largest-magnitude FFT bin together with its magnitude.
 ///
 /// This is the core of the LoRa dechirp demodulator: after multiplying a

@@ -71,18 +71,6 @@ impl DifferentialEvolution {
         self
     }
 
-    /// Sets the differential weight `F` (typically in `[0.4, 1.0]`).
-    pub fn with_weight(mut self, weight: f64) -> Self {
-        self.weight = weight;
-        self
-    }
-
-    /// Sets the crossover probability `CR` in `[0, 1]`.
-    pub fn with_crossover(mut self, crossover: f64) -> Self {
-        self.crossover = crossover;
-        self
-    }
-
     /// Sets the generation cap.
     pub fn with_max_generations(mut self, max_generations: usize) -> Self {
         self.max_generations = max_generations;

@@ -30,10 +30,10 @@
 //!
 //! * a flowgraph front block owns one and uses it for every copy it
 //!   analyses;
-//! * `SoftLoraGateway` and `NetworkServer` each own one arena per unit of
-//!   the host's available parallelism, built with them. `process_batch`
-//!   hands worker `w` of its fan-out `&mut arenas[w]` for the whole call,
-//!   and `SoftLoraGateway::process` uses the first;
+//! * a `NetworkServer` owns one arena per unit of the host's available
+//!   parallelism, built with it. `process_batch` (and so
+//!   `process_delivery`) hands worker `w` of its fan-out `&mut arenas[w]`
+//!   for the whole call; the calling thread is worker 0;
 //! * tests, benches and the figure experiments make one and reuse it
 //!   across their loops.
 //!

@@ -153,7 +153,8 @@ impl Follower {
         self.epoch
     }
 
-    /// Stale-epoch frames refused so far (the zombie-primary counter).
+    /// Frames refused so far: stale-epoch frames (the zombie-primary
+    /// counter) and frames naming a shard this standby does not have.
     #[must_use]
     pub fn chunks_refused(&self) -> u64 {
         self.metrics.chunks_refused.get()
@@ -231,8 +232,18 @@ impl Follower {
         Ok(self.server)
     }
 
-    /// Routes one decoded frame: epoch-fences, buffers by stream order.
+    /// Routes one decoded frame: refuses a shard index out of range,
+    /// epoch-fences, buffers by stream order.
     fn ingest(&mut self, frame: Frame, src: SocketAddr) -> Result<(), HaError> {
+        if let Frame::SegmentChunk { shard, .. } | Frame::SnapMark { shard, .. } = &frame {
+            // A CRC-valid frame can still carry a forged shard: it would
+            // index past the per-shard state in `drain` (a panic) or
+            // fail `apply_replicated_record` (a poisoned stream).
+            if *shard as usize >= self.markers.len() {
+                self.metrics.chunks_refused.inc();
+                return Ok(());
+            }
+        }
         match frame {
             Frame::SegmentChunk { epoch, stream_seq, shard, payload, .. } => {
                 if !self.admit(epoch)? {

@@ -10,6 +10,9 @@
 //! * **Zombie fencing**: promotion advances the epoch; frames from the
 //!   deposed primary (lower epoch) are refused and counted, and the
 //!   deposed shipper fences itself on the first handoff it hears.
+//! * **Forged shard index**: a CRC-valid chunk or snapshot marker naming
+//!   a shard the standby does not have is refused and counted, and the
+//!   genuine stream still applies.
 
 use softlora::{fsck_store, NetworkServer, ServerVerdict};
 use softlora_attack::FrameDelayAttack;
@@ -271,4 +274,69 @@ fn deposed_shipper_fences_itself_and_stops_shipping() {
     // A zombie primary keeps committing locally; nothing ships.
     shipper.on_frame(0, 2, 1, &[2, 0, 0, 0, 0xEF, 0x01]);
     assert_eq!(shipper.pending_len(), 0, "fenced shipper drops frames on the floor");
+}
+
+#[test]
+fn forged_shard_index_is_refused_and_stream_still_applies() {
+    let groups = pinned_groups();
+    let dir_standby = test_dir("ha-forged-standby");
+    let standby = build_server(&pinned_scenario(), Some(&dir_standby), None);
+    let shards = standby.shard_count() as u32;
+    let mut follower = Follower::new(standby).expect("follower");
+    let addr = follower.local_addr().expect("addr");
+    let forger = UdpSocket::bind("127.0.0.1:0").expect("forger socket");
+
+    // The forged frames claim the genuine stream's first two positions:
+    // once refused, they must not hold those slots either. The chunk
+    // carries a record the standby would try to apply.
+    let record = [1u8, 1, 0, 0, 0, 0, 0, 0, 0];
+    let mut run = (record.len() as u32).to_le_bytes().to_vec();
+    run.extend_from_slice(&record);
+    let forged = [
+        Frame::SnapMark {
+            epoch: 0,
+            stream_seq: 1,
+            shard: shards + 7,
+            covered_seq: 0,
+            global_seq: 0,
+            frames_cumulative: vec![0; GATEWAYS],
+        },
+        Frame::SegmentChunk {
+            epoch: 0,
+            stream_seq: 2,
+            shard: shards,
+            first: 1,
+            count: 1,
+            payload: run,
+        },
+    ];
+    let refused_before = follower.chunks_refused();
+    for frame in &forged {
+        forger.send_to(&encode_frame(frame), addr).expect("send forged frame");
+    }
+    for _ in 0..200 {
+        follower.poll().expect("a forged shard index must not fail the poll");
+        if follower.chunks_refused() == refused_before + 2 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(follower.chunks_refused(), refused_before + 2, "both forged frames counted");
+    assert_eq!(follower.lag(), 0, "forged frames not buffered");
+
+    // The genuine primary's stream still applies, record for record.
+    let shipper = Arc::new(Shipper::new(addr, 0, ShipperConfig::default()).expect("shipper"));
+    let dir = test_dir("ha-forged-primary");
+    let mut primary = build_server(&pinned_scenario(), Some(&dir), Some(Arc::clone(&shipper)));
+    follower.subscribe(shipper.local_addr().expect("shipper addr")).expect("subscribe");
+    for chunk in groups.chunks(CHUNK) {
+        primary.process_batch(chunk).expect("primary pipeline");
+        replicate_until(&shipper, &mut follower, primary.global_seq());
+    }
+    assert_eq!(follower.server().global_seq(), primary.global_seq());
+    assert_eq!(follower.server().stats(), primary.stats(), "replicated statistics");
+    drop(primary);
+    drop(follower);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&dir_standby).ok();
 }

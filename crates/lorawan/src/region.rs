@@ -12,9 +12,6 @@ use crate::LorawanError;
 /// The EU 868 MHz sub-band duty cycle limit (1 %).
 pub const EU868_DUTY_CYCLE: f64 = 0.01;
 
-/// The paper's uplink channel.
-pub const PAPER_CHANNEL_HZ: f64 = 869.75e6;
-
 /// Transmit power settings.
 ///
 /// Fig. 16 sweeps the end device's measured output power over

@@ -66,8 +66,8 @@ impl JammingWindows {
 /// Calibration of the RN2483 receiver behaviour used to derive the windows.
 ///
 /// The *mechanisms* come from the paper's §4.3 analysis; two constants are
-/// calibrated against the measured Table 1 values and documented in
-/// EXPERIMENTS.md:
+/// calibrated against the measured Table 1 values (`repro_table1` prints
+/// the model's windows beside the paper's):
 ///
 /// * `lock_chirps = 5`: the chip locks the legitimate preamble from the 6th
 ///   chirp; jamming that starts earlier captures the receiver instead.

@@ -316,10 +316,6 @@ impl PhyConfig {
 pub mod eu868 {
     /// Duty-cycle limit in the 868 MHz sub-band (1 %).
     pub const DUTY_CYCLE: f64 = 0.01;
-    /// Maximum EIRP for the band, dBm.
-    pub const MAX_EIRP_DBM: f64 = 14.0;
-    /// The paper's carrier: 869.75 MHz.
-    pub const PAPER_CENTER_HZ: f64 = 869.75e6;
 }
 
 #[cfg(test)]

@@ -1,12 +1,11 @@
 //! Runtime observability: per-block counters and the [`RuntimeObserver`]
 //! hook.
 //!
-//! Mirrors the gateway's `GatewayObserver` idiom one tier up: the
-//! scheduler pushes typed events — a work call's consumed/produced counts
-//! and latency, worker parks, block completion — and consumers implement
-//! only the hooks they care about. Unlike gateway observers, runtime
-//! observers are invoked **concurrently from worker threads**, so the
-//! hooks take `&self` and implementations synchronise internally (see
+//! The scheduler pushes typed events — a work call's consumed/produced
+//! counts and latency, worker parks, block completion — and consumers
+//! implement only the hooks they care about. Runtime observers are
+//! invoked **concurrently from worker threads**, so the hooks take
+//! `&self` and implementations synchronise internally (see
 //! [`RuntimeStats`] for a ready-made one).
 
 use std::collections::HashMap;
@@ -112,8 +111,7 @@ pub struct BlockTally {
     pub busy_s: f64,
 }
 
-/// A ready-made observer tallying per-block work and worker parks — the
-/// runtime counterpart of the gateway's `GatewayStats`.
+/// A ready-made observer tallying per-block work and worker parks.
 ///
 /// Besides its own queryable tallies, the observer registers into the
 /// process-wide telemetry registry: worker parks and total work calls

@@ -10,7 +10,8 @@
 //! The building's propagation is modelled as a calibrated linear loss in
 //! horizontal distance, floor crossings and section junctions, plus a
 //! deterministic per-position shadowing term; the calibration targets the
-//! SNR *range and gradient* of the paper's heatmap (see EXPERIMENTS.md).
+//! SNR *range and gradient* of the paper's heatmap (`repro_fig15`
+//! prints the modelled heatmap).
 
 use crate::medium::{GatewaySite, PathLoss, Position, RadioMedium};
 use softlora_phy::channel::{rain_margin_db, LogDistance};

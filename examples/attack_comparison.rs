@@ -6,10 +6,10 @@
 //! demonstrates the naive counter-based defence failing (the original was
 //! jammed, so the replay's counter looks fresh).
 //!
-//! The attacked frame's deliveries (jammed original + delayed replay) are
-//! handed to [`SoftLoraGateway::process_batch`] in one call — the paranoid
-//! DSP front half runs in parallel — and the flag itself is consumed
-//! through the observer hook.
+//! The SoftLoRa gateway is a one-gateway [`NetworkServer`]. The attacked
+//! frame's deliveries (jammed original + delayed replay) are handed to
+//! [`NetworkServer::process_batch`] in one call, one uplink group per
+//! delivery — the paranoid DSP front half runs in parallel.
 //!
 //! Run with: `cargo run --release --example attack_comparison`
 
@@ -19,21 +19,10 @@ use softlora_repro::phy::oscillator::Oscillator;
 use softlora_repro::phy::rn2483::Rn2483Model;
 use softlora_repro::phy::{PhyConfig, SpreadingFactor};
 use softlora_repro::sim::medium::FreeSpace;
-use softlora_repro::sim::{AirFrame, HonestChannel, Interceptor, Position, RadioMedium};
-use softlora_repro::softlora::observer::{GatewayObserver, ReplayFlagEvent};
-use softlora_repro::softlora::{SoftLoraGateway, SoftLoraVerdict};
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// Remembers the most recent replay flag for the summary line.
-#[derive(Default)]
-struct LastFlag(Option<ReplayFlagEvent>);
-
-impl GatewayObserver for LastFlag {
-    fn on_replay_flag(&mut self, _frame: u64, event: ReplayFlagEvent) {
-        self.0 = Some(event);
-    }
-}
+use softlora_repro::sim::{
+    AirFrame, FleetDelivery, HonestChannel, Interceptor, Position, RadioMedium, UplinkDeliveries,
+};
+use softlora_repro::softlora::{NetworkServer, SoftLoraVerdict};
 
 fn main() {
     let phy = PhyConfig::uplink(SpreadingFactor::Sf7);
@@ -53,11 +42,9 @@ fn main() {
         let mut osc = Oscillator::sample_end_device(869.75e6, 4);
         let mut commodity = CommodityGateway::new();
         commodity.provision(dev_cfg.dev_addr, dev_cfg.keys.clone());
-        let flag = Rc::new(RefCell::new(LastFlag::default()));
-        let mut softlora = SoftLoraGateway::builder(phy)
-            .seed(8)
+        let mut softlora = NetworkServer::builder(phy)
+            .gateway(8)
             .provision(dev_cfg.dev_addr, dev_cfg.keys.clone())
-            .observer(Box::new(Rc::clone(&flag)))
             .build();
         let model = Rn2483Model::new();
 
@@ -83,13 +70,9 @@ fn main() {
             let frame = send(&mut device, &mut osc, 50.0 + 200.0 * k as f64);
             for d in honest.intercept(&frame, &medium, &gw_pos) {
                 let _ = commodity.receive(&d.bytes, d.arrival_global_s);
-                let _ = softlora.process(&d).expect("pipeline");
+                let _ = softlora.process_delivery(0, &d).expect("pipeline");
             }
         }
-
-        // Warm-up verdicts may have touched the observer; only flags from
-        // the attacked batch below should reach the summary line.
-        flag.borrow_mut().0 = None;
 
         // One attacked frame at this τ. Its deliveries (the jammed
         // original and the delayed replay) go through as one batch.
@@ -117,13 +100,30 @@ fn main() {
             }
         }
 
-        let verdicts = softlora.process_batch(&deliveries).expect("pipeline");
-        let softlora_line = match &flag.borrow().0 {
-            Some(event) => format!("flagged ({:+.0} Hz)", event.deviation_hz),
+        // One group per delivery: the jammed original and the replay are
+        // separate receptions, not copies of one uplink.
+        let groups: Vec<UplinkDeliveries> = deliveries
+            .iter()
+            .enumerate()
+            .map(|(k, d)| UplinkDeliveries {
+                uplink: k as u64,
+                dev_addr: d.dev_addr,
+                tx_start_global_s: d.arrival_global_s,
+                airtime_s: 0.0,
+                copies: vec![FleetDelivery { gateway: 0, delivery: d.clone() }],
+            })
+            .collect();
+        let verdicts = softlora.process_batch(&groups).expect("pipeline");
+        let last_flag = verdicts.iter().rev().find_map(|v| match v.verdict {
+            SoftLoraVerdict::ReplayDetected { deviation_hz, .. } => Some(deviation_hz),
+            _ => None,
+        });
+        let softlora_line = match last_flag {
+            Some(deviation_hz) => format!("flagged ({deviation_hz:+.0} Hz)"),
             None if deliveries
                 .iter()
                 .zip(&verdicts)
-                .any(|(d, v)| d.is_replay && matches!(v, SoftLoraVerdict::Accepted { .. })) =>
+                .any(|(d, v)| d.is_replay && v.is_accepted()) =>
             {
                 "MISSED".to_string()
             }

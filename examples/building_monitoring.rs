@@ -4,8 +4,8 @@
 //! Six temperature sensors spread over the six-floor concrete building
 //! report to a SoftLoRa gateway on the 6th floor. The example surveys the
 //! per-sensor link quality, runs an hour of simulated reporting, and
-//! summarises the reconstructed-timestamp accuracy per sensor. Outcomes
-//! flow through a `GatewayObserver` that buckets accuracy per device.
+//! summarises the reconstructed-timestamp accuracy per sensor. The gateway
+//! is a one-gateway `NetworkServer`; its verdicts are bucketed per device.
 //!
 //! Run with: `cargo run --release --example building_monitoring`
 
@@ -15,39 +15,28 @@ use softlora_repro::phy::{PhyConfig, SpreadingFactor};
 use softlora_repro::sim::clock::DriftingClock;
 use softlora_repro::sim::deployment::BuildingDeployment;
 use softlora_repro::sim::{AirFrame, HonestChannel, Interceptor};
-use softlora_repro::softlora::observer::{AcceptEvent, GatewayObserver, RejectEvent};
-use softlora_repro::softlora::{GatewayBuilder, SoftLoraGateway};
-use std::cell::RefCell;
+use softlora_repro::softlora::{NetworkServer, NetworkServerBuilder, SoftLoraVerdict};
 use std::collections::HashMap;
-use std::rc::Rc;
 
 /// Buckets reconstructed-timestamp errors per device address.
 #[derive(Default)]
 struct AccuracyLedger {
-    /// True sample time of the uplink currently being processed.
-    true_time_s: f64,
     /// Per-device signed errors, ms.
     errors_ms: HashMap<u32, Vec<f64>>,
     /// Frames that produced no timestamped records.
     lost: usize,
 }
 
-impl GatewayObserver for AccuracyLedger {
-    fn on_accept(&mut self, _frame: u64, event: AcceptEvent<'_>) {
-        let err = (event.uplink.records[0].global_time_s - self.true_time_s) * 1e3;
-        self.errors_ms.entry(event.uplink.dev_addr).or_default().push(err);
-    }
-
-    fn on_reject(&mut self, _frame: u64, _event: RejectEvent<'_>) {
-        self.lost += 1;
-    }
-
-    fn on_replay_flag(
-        &mut self,
-        _frame: u64,
-        _event: softlora_repro::softlora::observer::ReplayFlagEvent,
-    ) {
-        self.lost += 1;
+impl AccuracyLedger {
+    /// Books one verdict whose record was sampled at `true_time_s`.
+    fn book(&mut self, true_time_s: f64, verdict: &SoftLoraVerdict) {
+        match verdict {
+            SoftLoraVerdict::Accepted { uplink, .. } => {
+                let err = (uplink.records[0].global_time_s - true_time_s) * 1e3;
+                self.errors_ms.entry(uplink.dev_addr).or_default().push(err);
+            }
+            _ => self.lost += 1,
+        }
     }
 }
 
@@ -62,9 +51,8 @@ fn main() {
     println!("Building monitoring: 6 sensors -> SoftLoRa gateway at C3/6F (SF8)\n");
     println!("{:<8} {:>10} {:>10} {:>12}", "sensor", "floor", "SNR(dB)", "decodable");
 
-    let ledger = Rc::new(RefCell::new(AccuracyLedger::default()));
-    let mut builder: GatewayBuilder =
-        SoftLoraGateway::builder(phy).seed(2024).observer(Box::new(Rc::clone(&ledger)));
+    let mut ledger = AccuracyLedger::default();
+    let mut builder: NetworkServerBuilder = NetworkServer::builder(phy).gateway(2024);
     let mut sensors = Vec::new();
     for (idx, &(col, floor)) in spots.iter().enumerate() {
         let pos = building.position(col, floor);
@@ -98,7 +86,7 @@ fn main() {
             let t_tx_local = clock.read(t_global);
             device.sense(400 + round as u16, t_sample_local).expect("buffer");
             let Ok(tx) = device.try_transmit(t_tx_local) else {
-                ledger.borrow_mut().lost += 1;
+                ledger.lost += 1;
                 continue;
             };
             let frame = AirFrame {
@@ -113,13 +101,12 @@ fn main() {
                 sf: phy.sf,
             };
             for d in honest.intercept(&frame, &medium, &gw_pos) {
-                ledger.borrow_mut().true_time_s = t_global - 2.0;
-                gateway.process(&d).expect("pipeline");
+                let verdict = gateway.process_delivery(0, &d).expect("pipeline");
+                ledger.book(t_global - 2.0, &verdict.verdict);
             }
         }
     }
 
-    let ledger = ledger.borrow();
     let accepted: usize = ledger.errors_ms.values().map(Vec::len).sum();
     println!("\nhour summary: {accepted} uplinks accepted, {} lost", ledger.lost);
     println!("\nreconstructed timestamp error per sensor (ms):");

@@ -3,8 +3,8 @@
 //! A roadway-detector-style sensor on a roof top reports through a kilometre
 //! of campus, in heavy rain, to a SoftLoRa gateway in an open staircase.
 //! The example reports the link budget, then runs a sequence of uplinks
-//! and prints the PHY timestamping and record-timestamp accuracy, consumed
-//! through the gateway's observer hook.
+//! and prints the PHY timestamping and record-timestamp accuracy of each
+//! verdict the gateway (a one-gateway `NetworkServer`) returns.
 //!
 //! Run with: `cargo run --release --example campus_long_range`
 
@@ -14,30 +14,18 @@ use softlora_repro::phy::oscillator::Oscillator;
 use softlora_repro::phy::{PhyConfig, SpreadingFactor};
 use softlora_repro::sim::deployment::CampusDeployment;
 use softlora_repro::sim::{AirFrame, HonestChannel, Interceptor};
-use softlora_repro::softlora::observer::{AcceptEvent, GatewayObserver, RejectEvent};
-use softlora_repro::softlora::SoftLoraGateway;
-use std::cell::RefCell;
-use std::rc::Rc;
+use softlora_repro::softlora::{NetworkServer, SoftLoraVerdict};
 
-/// Prints one table row per uplink from the gateway's accept events.
-#[derive(Default)]
-struct RowPrinter {
-    test: usize,
-    true_arrival_s: f64,
-    true_sample_s: f64,
-}
-
-impl GatewayObserver for RowPrinter {
-    fn on_accept(&mut self, _frame: u64, event: AcceptEvent<'_>) {
-        // PHY timestamping error: detected arrival vs the true arrival
-        // (tx start + propagation).
-        let phy_err_us = (event.phy_arrival_s - self.true_arrival_s).abs() * 1e6;
-        let rec_err_ms = (event.uplink.records[0].global_time_s - self.true_sample_s).abs() * 1e3;
-        println!("{:>6} {:>16.2} {:>18.3}", self.test, phy_err_us, rec_err_ms);
-    }
-
-    fn on_reject(&mut self, _frame: u64, event: RejectEvent<'_>) {
-        println!("{:>6} {event:?}", self.test);
+/// Prints one table row for test `test`'s verdict, against the true
+/// arrival (tx start + propagation) and the true sample time.
+fn print_row(test: usize, true_arrival_s: f64, true_sample_s: f64, verdict: &SoftLoraVerdict) {
+    match verdict {
+        SoftLoraVerdict::Accepted { uplink, phy_arrival_s, .. } => {
+            let phy_err_us = (phy_arrival_s - true_arrival_s).abs() * 1e6;
+            let rec_err_ms = (uplink.records[0].global_time_s - true_sample_s).abs() * 1e3;
+            println!("{test:>6} {phy_err_us:>16.2} {rec_err_ms:>18.3}");
+        }
+        other => println!("{test:>6} {other:?}"),
     }
 }
 
@@ -64,11 +52,9 @@ fn main() {
     let dev_cfg = DeviceConfig::new(0x2601_0C0C, phy);
     let mut device = ClassADevice::new(dev_cfg.clone());
     let mut osc = Oscillator::sample_end_device(869.75e6, 21);
-    let rows = Rc::new(RefCell::new(RowPrinter::default()));
-    let mut gateway = SoftLoraGateway::builder(phy)
-        .seed(33)
+    let mut gateway = NetworkServer::builder(phy)
+        .gateway(33)
         .provision(dev_cfg.dev_addr, dev_cfg.keys.clone())
-        .observer(Box::new(Rc::clone(&rows)))
         .build();
 
     let mut honest = HonestChannel;
@@ -89,13 +75,8 @@ fn main() {
             sf: phy.sf,
         };
         for d in honest.intercept(&frame, &medium, &site_b) {
-            {
-                let mut r = rows.borrow_mut();
-                r.test = k + 1;
-                r.true_arrival_s = t + propagation_delay_s(distance);
-                r.true_sample_s = t - 1.5;
-            }
-            gateway.process(&d).expect("pipeline");
+            let verdict = gateway.process_delivery(0, &d).expect("pipeline");
+            print_row(k + 1, t + propagation_delay_s(distance), t - 1.5, &verdict.verdict);
         }
     }
     println!("\nPaper §8.2 measured 0.23–6.43 µs over four rainy tests — microsecond");

@@ -6,9 +6,9 @@
 //! gateway, and the SoftLoRa gateway catches it by the replayed frame's
 //! carrier frequency bias.
 //!
-//! The gateway is built with the fluent [`SoftLoraGateway::builder`] and
-//! outcomes are consumed through a [`GatewayObserver`] — no verdict
-//! pattern-matching.
+//! The SoftLoRa gateway is a one-gateway [`NetworkServer`]: each
+//! delivery is processed as its own uplink and comes back as a
+//! [`ServerVerdict`].
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -18,54 +18,36 @@ use softlora_repro::phy::oscillator::Oscillator;
 use softlora_repro::phy::{PhyConfig, SpreadingFactor};
 use softlora_repro::sim::medium::FreeSpace;
 use softlora_repro::sim::{AirFrame, HonestChannel, Interceptor, Position, RadioMedium};
-use softlora_repro::softlora::observer::{
-    AcceptEvent, GatewayObserver, RejectEvent, ReplayFlagEvent,
-};
-use softlora_repro::softlora::SoftLoraGateway;
-use std::cell::RefCell;
-use std::rc::Rc;
+use softlora_repro::softlora::{NetworkServer, ServerVerdict, SoftLoraVerdict};
 
-/// Prints every gateway outcome against the per-frame ground truth the
-/// main loop deposits before each uplink.
-#[derive(Default)]
-struct Narrator {
-    /// Label of the frame being processed ("frame 3 replay  ", ...).
-    label: String,
-    /// True global time of the record of interest, seconds.
-    true_time_s: f64,
-}
-
-impl GatewayObserver for Narrator {
-    fn on_accept(&mut self, _frame: u64, event: AcceptEvent<'_>) {
-        let err_s = event.uplink.records[0].global_time_s - self.true_time_s;
-        if err_s.abs() < 0.1 {
-            println!(
-                "{}: accepted; FB {:.2} kHz; timestamp error {:+.2} ms",
-                self.label,
-                event.fb.delta_hz / 1e3,
-                err_s * 1e3
-            );
-        } else {
-            println!("{}: ACCEPTED — timestamp error {err_s:+.2} s (!!)", self.label);
+/// Prints one gateway outcome against the frame's ground truth: `label`
+/// names the frame ("frame 3 replay  ", ...) and `true_time_s` is the
+/// true global time of its record of interest.
+fn narrate(label: &str, true_time_s: f64, verdict: &ServerVerdict) {
+    match &verdict.verdict {
+        SoftLoraVerdict::Accepted { uplink, fb, .. } => {
+            let err_s = uplink.records[0].global_time_s - true_time_s;
+            if err_s.abs() < 0.1 {
+                println!(
+                    "{label}: accepted; FB {:.2} kHz; timestamp error {:+.2} ms",
+                    fb.delta_hz / 1e3,
+                    err_s * 1e3
+                );
+            } else {
+                println!("{label}: ACCEPTED — timestamp error {err_s:+.2} s (!!)");
+            }
         }
-    }
-
-    fn on_replay_flag(&mut self, _frame: u64, event: ReplayFlagEvent) {
-        println!(
-            "{}: REPLAY DETECTED — FB off by {:+.0} Hz (band ±{:.0} Hz); \
-             frame dropped, no timestamp spoofed",
-            self.label, event.deviation_hz, event.band_hz
-        );
-    }
-
-    fn on_reject(&mut self, _frame: u64, event: RejectEvent<'_>) {
-        match event {
-            RejectEvent::NotReceived { outcome } => {
-                println!("{}: not received ({outcome:?}) — stealthy jamming", self.label);
-            }
-            RejectEvent::Lorawan { reason } => {
-                println!("{}: rejected ({reason})", self.label);
-            }
+        SoftLoraVerdict::ReplayDetected { deviation_hz, band_hz, .. } => {
+            println!(
+                "{label}: REPLAY DETECTED — FB off by {deviation_hz:+.0} Hz (band ±{band_hz:.0} \
+                 Hz); frame dropped, no timestamp spoofed"
+            );
+        }
+        SoftLoraVerdict::NotReceived { outcome } => {
+            println!("{label}: not received ({outcome:?}) — stealthy jamming");
+        }
+        SoftLoraVerdict::LorawanRejected { reason } => {
+            println!("{label}: rejected ({reason})");
         }
     }
 }
@@ -81,18 +63,16 @@ fn main() {
     let dev_cfg = DeviceConfig::new(0x2601_0001, phy);
     let mut device = ClassADevice::new(dev_cfg.clone());
     let mut device_osc = Oscillator::with_bias_ppm(-25.3, 869.75e6, 7);
-    let narrator = Rc::new(RefCell::new(Narrator::default()));
-    let mut gateway = SoftLoraGateway::builder(phy)
-        .seed(42)
+    let mut gateway = NetworkServer::builder(phy)
+        .gateway(42)
         .provision(dev_cfg.dev_addr, dev_cfg.keys.clone())
-        .observer(Box::new(Rc::clone(&narrator)))
         .build();
 
     println!("SoftLoRa quickstart — synchronization-free timestamping under attack");
     println!(
         "device crystal bias: {:.1} kHz; gateway SDR bias: {:.1} kHz\n",
         device_osc.frequency_bias_hz() / 1e3,
-        gateway.receiver_bias_hz() / 1e3
+        gateway.receiver_bias_hz(0) / 1e3
     );
 
     let send = |device: &mut ClassADevice, osc: &mut Oscillator, t: f64, value: u16| -> AirFrame {
@@ -117,12 +97,8 @@ fn main() {
         let t = 100.0 + 200.0 * k as f64;
         let frame = send(&mut device, &mut device_osc, t, 2000 + k as u16);
         for d in honest.intercept(&frame, &medium, &gateway_pos) {
-            {
-                let mut n = narrator.borrow_mut();
-                n.label = format!("frame {k}");
-                n.true_time_s = t - 0.8;
-            }
-            gateway.process(&d).expect("pipeline");
+            let verdict = gateway.process_delivery(0, &d).expect("pipeline");
+            narrate(&format!("frame {k}"), t - 0.8, &verdict);
         }
     }
 
@@ -140,12 +116,8 @@ fn main() {
         let frame = send(&mut device, &mut device_osc, t, 2000 + k);
         for d in attack.intercept(&frame, &medium, &gateway_pos) {
             let kind = if d.is_replay { "replay  " } else { "original" };
-            {
-                let mut n = narrator.borrow_mut();
-                n.label = format!("frame {k} {kind}");
-                n.true_time_s = t - 0.8;
-            }
-            gateway.process(&d).expect("pipeline");
+            let verdict = gateway.process_delivery(0, &d).expect("pipeline");
+            narrate(&format!("frame {k} {kind}"), t - 0.8, &verdict);
         }
     }
 

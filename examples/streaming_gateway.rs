@@ -15,7 +15,7 @@
 use softlora_repro::phy::{PhyConfig, SpreadingFactor};
 use softlora_repro::runtime::{FlowgraphBuilder, Scheduler};
 use softlora_repro::sim::{FleetDeployment, HonestChannel, Scenario, ScenarioSource};
-use softlora_repro::softlora::network_server::ServerObserver;
+use softlora_repro::softlora::ServerObserver;
 use softlora_repro::softlora::{NetworkServer, ServerStats, ServerVerdict};
 use std::sync::{Arc, Mutex};
 

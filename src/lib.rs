@@ -16,7 +16,7 @@
 //! | [`store`] | durable sharded device-state store: append-only WAL with a hand-rolled binary codec, snapshots + compaction, crash recovery |
 //! | [`telemetry`] | process-wide lock-free metrics registry: counters, gauges, log₂-bucketed latency histograms, text/JSON exposition |
 //! | [`net`] | the wire-protocol front door: Semtech-UDP-style gateway frames, the UDP/loopback listener feeding the sharded server tail, a lock-step fleet replay client |
-//! | [`softlora`] | the paper's contribution: PHY timestamping, FB estimation, FB database, replay detection, the SoftLoRa gateway, the streaming network-server blocks |
+//! | [`softlora`] | the paper's contribution: PHY timestamping, FB estimation, FB database, replay detection, the sharded network server (a one-gateway server is the SoftLoRa gateway), the streaming network-server blocks |
 //!
 //! See the repository `README.md` for a guided tour, the workspace
 //! layout and the measured performance record. The `examples/`
@@ -26,27 +26,20 @@
 //!
 //! # Quick start
 //!
-//! The gateway is built with a fluent builder and processed deliveries
-//! flow through an explicit six-stage pipeline; outcomes can be consumed
-//! as observer events, and batches run the DSP front half in parallel:
+//! The SoftLoRa gateway is a one-gateway network server: each gateway runs
+//! the staged pipeline's DSP front half, and the server's shard tail runs
+//! the FB replay check and the LoRaWAN MAC. Outcomes come back as
+//! verdicts, and batches run the front half in parallel:
 //!
 //! ```
 //! use softlora_repro::phy::{PhyConfig, SpreadingFactor};
-//! use softlora_repro::softlora::observer::GatewayStats;
-//! use softlora_repro::softlora::SoftLoraGateway;
-//! use std::cell::RefCell;
-//! use std::rc::Rc;
+//! use softlora_repro::softlora::NetworkServer;
 //!
 //! let phy = PhyConfig::uplink(SpreadingFactor::Sf7);
-//! let stats = Rc::new(RefCell::new(GatewayStats::default()));
-//! let gateway = SoftLoraGateway::builder(phy)
-//!     .seed(1)
-//!     .adc_quantisation(false)
-//!     .observer(Box::new(Rc::clone(&stats)))
-//!     .build();
-//! assert!(gateway.receiver_bias_hz().abs() < 10_000.0); // an RTL-SDR crystal
-//! assert_eq!(gateway.onset_picker_runs(), 0); // one AIC pick per frame, later
-//! // gateway.process(&delivery)? / gateway.process_batch(&deliveries)?
+//! let gateway = NetworkServer::builder(phy).gateway(1).adc_quantisation(false).build();
+//! assert!(gateway.receiver_bias_hz(0).abs() < 10_000.0); // an RTL-SDR crystal
+//! assert_eq!(gateway.pipeline(0).onset.picker_runs(), 0); // one AIC pick per frame, later
+//! // gateway.process_delivery(0, &delivery)? / gateway.process_batch(&groups)?
 //! ```
 
 pub use softlora;

@@ -1,19 +1,21 @@
 //! Cross-crate integration: the frame-delay attack against the SoftLoRa
-//! defence, over multiple devices, delays and conditions.
+//! defence (a one-gateway `NetworkServer`), over multiple devices, delays
+//! and conditions.
 
 use softlora_repro::attack::{AttackOutcome, FrameDelayAttack};
 use softlora_repro::lorawan::{ClassADevice, DeviceConfig};
 use softlora_repro::phy::oscillator::Oscillator;
 use softlora_repro::phy::{PhyConfig, SpreadingFactor};
 use softlora_repro::sim::medium::FreeSpace;
+use softlora_repro::sim::Delivery;
 use softlora_repro::sim::{AirFrame, HonestChannel, Interceptor, Position, RadioMedium};
-use softlora_repro::softlora::{GatewayBuilder, SoftLoraGateway, SoftLoraVerdict};
+use softlora_repro::softlora::{NetworkServer, NetworkServerBuilder, SoftLoraVerdict};
 
 struct World {
     phy: PhyConfig,
     medium: RadioMedium,
     gw_pos: Position,
-    gateway: SoftLoraGateway,
+    gateway: NetworkServer,
     devices: Vec<(ClassADevice, Oscillator, Position)>,
     t: f64,
 }
@@ -21,7 +23,7 @@ struct World {
 impl World {
     fn new(n_devices: usize, seed: u64) -> Self {
         let phy = PhyConfig::uplink(SpreadingFactor::Sf7);
-        let mut builder: GatewayBuilder = SoftLoraGateway::builder(phy).seed(seed);
+        let mut builder: NetworkServerBuilder = NetworkServer::builder(phy).gateway(seed);
         let mut devices = Vec::new();
         for k in 0..n_devices {
             let cfg = DeviceConfig::new(0x2601_1000 + k as u32, phy);
@@ -41,6 +43,11 @@ impl World {
             devices,
             t: 100.0,
         }
+    }
+
+    /// One delivery through the gateway, as its own uplink group.
+    fn process(&mut self, d: &Delivery) -> SoftLoraVerdict {
+        self.gateway.process_delivery(0, d).expect("pipeline").verdict
     }
 
     fn uplink(&mut self, dev_idx: usize) -> AirFrame {
@@ -73,7 +80,7 @@ fn multi_device_defense_with_per_device_bands() {
         for dev in 0..3 {
             let frame = w.uplink(dev);
             for d in honest.intercept(&frame, &w.medium, &w.gw_pos) {
-                let v = w.gateway.process(&d).expect("pipeline");
+                let v = w.process(&d);
                 assert!(v.is_accepted(), "{v:?}");
             }
         }
@@ -95,7 +102,7 @@ fn multi_device_defense_with_per_device_bands() {
             let frame = w.uplink(dev);
             let deliveries = attack.intercept(&frame, &w.medium, &w.gw_pos);
             for d in &deliveries {
-                match w.gateway.process(d).expect("pipeline") {
+                match w.process(d) {
                     SoftLoraVerdict::ReplayDetected { dev_addr, .. } => {
                         assert_eq!(dev_addr, 0x2601_1001, "wrong device flagged");
                         detections += 1;
@@ -121,7 +128,7 @@ fn attack_outcomes_are_tracked() {
     for _ in 0..4 {
         let frame = w.uplink(0);
         for d in honest.intercept(&frame, &w.medium, &w.gw_pos) {
-            w.gateway.process(&d).expect("pipeline");
+            w.process(&d);
         }
     }
     let mut attack = FrameDelayAttack::new(
@@ -149,7 +156,7 @@ fn long_run_false_alarm_rate_is_low() {
         w.devices[0].1.set_temperature_offset(round as f64 * 0.05);
         let frame = w.uplink(0);
         for d in honest.intercept(&frame, &w.medium, &w.gw_pos) {
-            match w.gateway.process(&d).expect("pipeline") {
+            match w.process(&d) {
                 SoftLoraVerdict::Accepted { .. } => accepted += 1,
                 SoftLoraVerdict::ReplayDetected { .. } => false_alarms += 1,
                 _ => {}
@@ -168,7 +175,7 @@ fn tau_sweep_always_detected() {
         for _ in 0..5 {
             let frame = w.uplink(0);
             for d in honest.intercept(&frame, &w.medium, &w.gw_pos) {
-                w.gateway.process(&d).expect("pipeline");
+                w.process(&d);
             }
         }
         let mut attack = FrameDelayAttack::new(
@@ -181,7 +188,7 @@ fn tau_sweep_always_detected() {
         let frame = w.uplink(0);
         let mut detected = false;
         for d in attack.intercept(&frame, &w.medium, &w.gw_pos) {
-            if w.gateway.process(&d).expect("pipeline").is_replay_detected() {
+            if w.process(&d).is_replay_detected() {
                 detected = true;
             }
         }

@@ -1,21 +1,22 @@
-//! Batch-versus-sequential equivalence of the staged gateway pipeline.
+//! Batch-versus-sequential equivalence of the staged gateway pipeline on
+//! a one-gateway `NetworkServer` (the paper's single-link gateway).
 //!
 //! `process_batch` runs the DSP front half (capture synthesis, onset pick,
-//! FB estimation) for independent deliveries in parallel, then replays the
-//! stateful detector/MAC tail sequentially. These tests pin down the
-//! contract: on the same delivery stream, a batch run is **verdict-for-
-//! verdict identical** to a sequential `process` loop — across genuine,
-//! replayed, jammed, low-SNR and below-floor deliveries — and the AIC
-//! onset picker runs exactly once per frame that reaches the SDR path.
+//! FB estimation) for independent deliveries in parallel, then commits the
+//! stateful detector/MAC tail per device in arrival order. These tests pin
+//! down the contract: on the same delivery stream, one group per delivery,
+//! a batch run is **verdict-for-verdict identical** to a sequential
+//! `process_delivery` loop — across genuine, replayed, jammed, low-SNR and
+//! below-floor deliveries — and the AIC onset picker runs exactly once per
+//! frame that reaches the SDR path.
 
 use softlora_repro::lorawan::{ClassADevice, DeviceConfig};
 use softlora_repro::phy::rn2483::JammingAttempt;
 use softlora_repro::phy::{PhyConfig, SpreadingFactor};
-use softlora_repro::sim::Delivery;
-use softlora_repro::softlora::observer::{GatewayStats, Stage};
-use softlora_repro::softlora::{GatewayBuilder, SoftLoraGateway, SoftLoraVerdict};
-use std::cell::RefCell;
-use std::rc::Rc;
+use softlora_repro::sim::{Delivery, FleetDelivery, UplinkDeliveries};
+use softlora_repro::softlora::{
+    NetworkServer, NetworkServerBuilder, ServerVerdict, SoftLoraVerdict,
+};
 
 const DEV_ADDR: u32 = 0x2601_0001;
 const DEVICE_BIAS_HZ: f64 = -22_000.0;
@@ -24,12 +25,33 @@ fn phy() -> PhyConfig {
     PhyConfig::uplink(SpreadingFactor::Sf7)
 }
 
-fn builder(seed: u64) -> GatewayBuilder {
+fn builder(seed: u64) -> NetworkServerBuilder {
     let dev_cfg = DeviceConfig::new(DEV_ADDR, phy());
-    SoftLoraGateway::builder(phy())
+    NetworkServer::builder(phy())
         .adc_quantisation(false)
-        .seed(seed)
+        .gateway(seed)
         .provision(dev_cfg.dev_addr, dev_cfg.keys.clone())
+}
+
+/// Each delivery as its own uplink group at gateway 0 — never two
+/// deliveries in one group, which would make them copies of one uplink.
+fn groups(deliveries: &[Delivery]) -> Vec<UplinkDeliveries> {
+    deliveries
+        .iter()
+        .enumerate()
+        .map(|(k, d)| UplinkDeliveries {
+            uplink: k as u64,
+            dev_addr: d.dev_addr,
+            tx_start_global_s: d.arrival_global_s,
+            airtime_s: 0.0,
+            copies: vec![FleetDelivery { gateway: 0, delivery: d.clone() }],
+        })
+        .collect()
+}
+
+/// A sequential `process_delivery` loop over `deliveries`.
+fn sequential(gw: &mut NetworkServer, deliveries: &[Delivery]) -> Vec<ServerVerdict> {
+    deliveries.iter().map(|d| gw.process_delivery(0, d).expect("pipeline")).collect()
 }
 
 /// A mixed stream: genuine warm-up, a low-SNR frame, a jammed frame, a
@@ -86,7 +108,7 @@ fn mixed_stream() -> Vec<Delivery> {
 fn mixed_stream_covers_all_verdicts() {
     let mut gw = builder(2718).build();
     let verdicts: Vec<SoftLoraVerdict> =
-        mixed_stream().iter().map(|d| gw.process(d).expect("pipeline")).collect();
+        sequential(&mut gw, &mixed_stream()).into_iter().map(|v| v.verdict).collect();
     assert!(verdicts.iter().any(|v| v.is_accepted()));
     assert!(verdicts.iter().any(|v| v.is_replay_detected()));
     assert!(verdicts.iter().any(|v| matches!(v, SoftLoraVerdict::NotReceived { .. })));
@@ -100,12 +122,11 @@ fn mixed_stream_covers_all_verdicts() {
 fn batch_is_verdict_for_verdict_identical_to_sequential() {
     let stream = mixed_stream();
 
-    let mut sequential = builder(2718).build();
-    let seq: Vec<SoftLoraVerdict> =
-        stream.iter().map(|d| sequential.process(d).expect("pipeline")).collect();
+    let mut sequential_gw = builder(2718).build();
+    let seq = sequential(&mut sequential_gw, &stream);
 
     let mut batched = builder(2718).build();
-    let bat = batched.process_batch(&stream).expect("pipeline");
+    let bat = batched.process_batch(&groups(&stream)).expect("pipeline");
 
     assert_eq!(seq.len(), bat.len());
     for (k, (s, b)) in seq.iter().zip(bat.iter()).enumerate() {
@@ -113,28 +134,27 @@ fn batch_is_verdict_for_verdict_identical_to_sequential() {
     }
     // Downstream state converged too: same detector scores, same FB
     // history, same frame count.
-    assert_eq!(sequential.detection_stats(), batched.detection_stats());
+    assert_eq!(sequential_gw.detection_stats(), batched.detection_stats());
     assert_eq!(
-        sequential.fb_database().tracked_center_hz(DEV_ADDR),
+        sequential_gw.fb_database().tracked_center_hz(DEV_ADDR),
         batched.fb_database().tracked_center_hz(DEV_ADDR)
     );
-    assert_eq!(sequential.frames_seen(), batched.frames_seen());
+    assert_eq!(sequential_gw.frames_seen(0), batched.frames_seen(0));
 }
 
 #[test]
 fn interleaving_batches_and_singles_is_equivalent() {
     let stream = mixed_stream();
 
-    let mut sequential = builder(99).build();
-    let seq: Vec<SoftLoraVerdict> =
-        stream.iter().map(|d| sequential.process(d).expect("pipeline")).collect();
+    let mut sequential_gw = builder(99).build();
+    let seq = sequential(&mut sequential_gw, &stream);
 
     // Same stream fed as: batch of 4, two singles, batch of the rest.
     let mut mixed = builder(99).build();
-    let mut got = mixed.process_batch(&stream[..4]).expect("pipeline");
-    got.push(mixed.process(&stream[4]).expect("pipeline"));
-    got.push(mixed.process(&stream[5]).expect("pipeline"));
-    got.extend(mixed.process_batch(&stream[6..]).expect("pipeline"));
+    let mut got = mixed.process_batch(&groups(&stream[..4])).expect("pipeline");
+    got.push(mixed.process_delivery(0, &stream[4]).expect("pipeline"));
+    got.push(mixed.process_delivery(0, &stream[5]).expect("pipeline"));
+    got.extend(mixed.process_batch(&groups(&stream[6..])).expect("pipeline"));
 
     assert_eq!(seq, got);
 }
@@ -142,22 +162,21 @@ fn interleaving_batches_and_singles_is_equivalent() {
 #[test]
 fn batch_runs_the_aic_picker_exactly_once_per_received_frame() {
     let stream = mixed_stream();
-    let stats = Rc::new(RefCell::new(GatewayStats::default()));
-    let mut gw = builder(7).observer(Box::new(Rc::clone(&stats))).build();
-    let verdicts = gw.process_batch(&stream).expect("pipeline");
+    let mut gw = builder(7).build();
+    let verdicts = gw.process_batch(&groups(&stream)).expect("pipeline");
 
     // Two deliveries (jammed, below-floor) never reach the SDR path.
-    let reached_sdr =
-        verdicts.iter().filter(|v| !matches!(v, SoftLoraVerdict::NotReceived { .. })).count()
-            as u64;
+    let reached_sdr = verdicts
+        .iter()
+        .filter(|v| !matches!(v.verdict, SoftLoraVerdict::NotReceived { .. }))
+        .count() as u64;
     assert_eq!(reached_sdr, stream.len() as u64 - 2);
-    // The pipeline's own invocation counter: one pick per received frame.
-    assert_eq!(gw.onset_picker_runs(), reached_sdr);
-    // The observer saw the same thing, stage by stage.
-    let s = stats.borrow();
-    assert_eq!(s.stage_runs(Stage::Onset), reached_sdr);
-    assert_eq!(s.stage_runs(Stage::Fb), reached_sdr);
-    assert_eq!(s.stage_runs(Stage::RadioFrontEnd), stream.len() as u64);
+    // The pipeline's own invocation counter: one pick per received frame,
+    // on the fan-out path.
+    assert_eq!(gw.pipeline(0).onset.picker_runs(), reached_sdr);
+    // Every delivery passed the radio gate exactly once.
+    assert_eq!(gw.frames_seen(0), stream.len() as u64);
+    assert_eq!(verdicts.len(), stream.len());
 }
 
 #[test]
@@ -166,11 +185,11 @@ fn sequential_runs_the_aic_picker_exactly_once_per_received_frame() {
     let mut gw = builder(7).build();
     let mut reached_sdr = 0u64;
     for d in &stream {
-        let v = gw.process(d).expect("pipeline");
-        if !matches!(v, SoftLoraVerdict::NotReceived { .. }) {
+        let v = gw.process_delivery(0, d).expect("pipeline");
+        if !matches!(v.verdict, SoftLoraVerdict::NotReceived { .. }) {
             reached_sdr += 1;
         }
-        assert_eq!(gw.onset_picker_runs(), reached_sdr, "picker re-ran within a frame");
+        assert_eq!(gw.pipeline(0).onset.picker_runs(), reached_sdr, "picker re-ran within a frame");
     }
 }
 
@@ -182,18 +201,23 @@ fn builder_round_trip_matches_manual_config() {
     manual_cfg.onset_method = OnsetMethod::Aic;
     manual_cfg.warmup_frames = 2;
     manual_cfg.band_floor_hz = 420.0;
-    let manual = SoftLoraGateway::new(manual_cfg, 31);
+    let manual = NetworkServerBuilder::from_config(manual_cfg).gateway(31).build();
 
-    let built = SoftLoraGateway::builder(phy())
+    // The server builder has setters for some fields; the rest ride on
+    // the configuration it starts from.
+    let mut base_cfg = SoftLoraConfig::new(phy());
+    base_cfg.onset_method = OnsetMethod::Aic;
+    base_cfg.band_floor_hz = 420.0;
+    let built = NetworkServerBuilder::from_config(base_cfg)
         .adc_quantisation(false)
-        .onset_method(OnsetMethod::Aic)
         .warmup_frames(2)
-        .band_floor_hz(420.0)
-        .seed(31)
+        .gateway(31)
         .build();
 
-    assert_eq!(manual.receiver_bias_hz(), built.receiver_bias_hz());
-    assert_eq!(manual.config().onset_method, built.config().onset_method);
-    assert_eq!(manual.config().band_floor_hz, built.config().band_floor_hz);
-    assert_eq!(manual.config().warmup_frames, built.config().warmup_frames);
+    assert_eq!(manual.receiver_bias_hz(0), built.receiver_bias_hz(0));
+    let (manual, built) = (manual.pipeline(0).config(), built.pipeline(0).config());
+    assert_eq!(manual.onset_method, built.onset_method);
+    assert_eq!(manual.band_floor_hz, built.band_floor_hz);
+    assert_eq!(manual.warmup_frames, built.warmup_frames);
+    assert_eq!(manual.adc_quantisation, built.adc_quantisation);
 }

@@ -6,8 +6,9 @@
 //! * the frame-delay attack is detected at a gateway the attacker never
 //!   jammed, via cross-gateway arrival consistency — and the uplink is
 //!   *still delivered correctly* from a clean gateway's copy;
-//! * a one-gateway `NetworkServer` reproduces a standalone
-//!   `SoftLoraGateway`'s single-link verdicts bit for bit.
+//! * on a one-gateway `NetworkServer` (the paper's single-link gateway),
+//!   `process_batch` over an attacked stream, one group per delivery,
+//!   equals the sequential `process_delivery` oracle bit for bit.
 
 use softlora_repro::attack::FrameDelayAttack;
 use softlora_repro::lorawan::{ClassADevice, DeviceConfig};
@@ -16,8 +17,9 @@ use softlora_repro::phy::{PhyConfig, SpreadingFactor};
 use softlora_repro::sim::{
     AirFrame, FleetDeployment, HonestChannel, Interceptor, Position, Scenario, UplinkDeliveries,
 };
-use softlora_repro::softlora::network_server::{ReplaySignal, ServerObserver};
-use softlora_repro::softlora::{NetworkServer, ServerStats, ServerVerdict, SoftLoraGateway};
+use softlora_repro::softlora::network_server::ReplaySignal;
+use softlora_repro::softlora::ServerObserver;
+use softlora_repro::softlora::{NetworkServer, ServerStats, ServerVerdict};
 use std::sync::{Arc, Mutex};
 
 const DEV_ADDR: u32 = 0x2601_0042;
@@ -158,10 +160,11 @@ fn fleet_attack_detected_at_non_attacked_gateway() {
 }
 
 #[test]
-fn one_gateway_server_matches_standalone_gateway_bit_for_bit() {
+fn one_gateway_batch_matches_process_delivery_bit_for_bit() {
     // The same delivery stream — honest warm-up, then frame-delay attack
-    // with the original jammed — through a standalone SoftLoraGateway and
-    // a one-gateway NetworkServer built from the same seed.
+    // with the original jammed — through a `process_delivery` loop and
+    // through one `process_batch` call, each on a one-gateway server
+    // built from the same seed.
     let seed = 99;
     let dev_cfg = DeviceConfig::new(DEV_ADDR, phy());
     let mut dev = ClassADevice::new(dev_cfg.clone());
@@ -171,17 +174,15 @@ fn one_gateway_server_matches_standalone_gateway_bit_for_bit() {
     let device_pos = Position::new(0.0, 0.0, 1.5);
     let medium = FleetDeployment::default().medium();
 
-    let mut gateway = SoftLoraGateway::builder(phy())
-        .adc_quantisation(false)
-        .seed(seed)
-        .provision(dev_cfg.dev_addr, dev_cfg.keys.clone())
-        .build();
-    let mut server = NetworkServer::builder(phy())
-        .adc_quantisation(false)
-        .gateway(seed)
-        .provision(dev_cfg.dev_addr, dev_cfg.keys.clone())
-        .build();
-    assert_eq!(gateway.receiver_bias_hz(), server.receiver_bias_hz(0));
+    let build = || {
+        NetworkServer::builder(phy())
+            .adc_quantisation(false)
+            .gateway(seed)
+            .provision(dev_cfg.dev_addr, dev_cfg.keys.clone())
+            .build()
+    };
+    let mut sequential = build();
+    let mut batched = build();
 
     // Build the stream once: 6 honest uplinks, then 3 attacked ones.
     let mut honest = HonestChannel;
@@ -202,23 +203,38 @@ fn one_gateway_server_matches_standalone_gateway_bit_for_bit() {
     }
     assert!(stream.iter().any(|d| d.is_replay), "attack phase must produce replays");
 
+    // One group per delivery: the jammed original and its replay are two
+    // receptions, not two copies of one uplink.
+    let groups: Vec<UplinkDeliveries> = stream
+        .iter()
+        .enumerate()
+        .map(|(k, d)| UplinkDeliveries {
+            uplink: k as u64,
+            dev_addr: d.dev_addr,
+            tx_start_global_s: d.arrival_global_s,
+            airtime_s: 0.0,
+            copies: vec![softlora_repro::sim::FleetDelivery { gateway: 0, delivery: d.clone() }],
+        })
+        .collect();
+    let got = batched.process_batch(&groups).expect("batch pipeline");
+    assert_eq!(got.len(), stream.len());
     for (k, delivery) in stream.iter().enumerate() {
-        let expected = gateway.process(delivery).expect("gateway pipeline");
-        let got = server.process_delivery(0, delivery).expect("server pipeline");
+        let expected = sequential.process_delivery(0, delivery).expect("sequential pipeline");
         // Bit-for-bit: the enum fields (timestamps, FB estimates, bands,
         // deviations) compare by exact equality.
-        assert_eq!(got.verdict, expected, "delivery {k}");
+        assert_eq!(got[k], expected, "delivery {k}");
     }
-    // The shared database saw exactly what the standalone gateway's did.
+    assert!(got.iter().any(|v| v.verdict.is_replay_detected()), "the attack must be flagged");
+    // The database and the detector scores converged too.
     assert_eq!(
-        server.fb_database().history_len(DEV_ADDR),
-        gateway.fb_database().history_len(DEV_ADDR)
+        batched.fb_database().history_len(DEV_ADDR),
+        sequential.fb_database().history_len(DEV_ADDR)
     );
     assert_eq!(
-        server.fb_database().tracked_center_hz(DEV_ADDR),
-        gateway.fb_database().tracked_center_hz(DEV_ADDR)
+        batched.fb_database().tracked_center_hz(DEV_ADDR),
+        sequential.fb_database().tracked_center_hz(DEV_ADDR)
     );
-    assert_eq!(server.detection_stats(), gateway.detection_stats());
+    assert_eq!(batched.detection_stats(), sequential.detection_stats());
 }
 
 /// Observer collecting the full notification stream, so the equivalence

@@ -12,7 +12,7 @@ use softlora_repro::runtime::{FlowgraphBuilder, RuntimeStats, Scheduler};
 use softlora_repro::sim::{
     FleetDeployment, FrameSource, HonestChannel, Position, Scenario, UplinkDeliveries,
 };
-use softlora_repro::softlora::network_server::ServerObserver;
+use softlora_repro::softlora::ServerObserver;
 use softlora_repro::softlora::{fsck_store, NetworkServer, ServerStats, ServerVerdict};
 use softlora_repro::store::test_dir;
 use std::path::Path;

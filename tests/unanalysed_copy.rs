@@ -11,9 +11,9 @@ use softlora_repro::phy::rn2483::ReceptionOutcome;
 use softlora_repro::phy::{PhyConfig, SpreadingFactor};
 use softlora_repro::runtime::{FlowgraphBuilder, Scheduler};
 use softlora_repro::sim::{Delivery, FleetDelivery, FrameSource, UplinkDeliveries};
-use softlora_repro::softlora::network_server::ServerObserver;
-use softlora_repro::softlora::pipeline::FrontFrame;
-use softlora_repro::softlora::{NetworkServer, ServerVerdict, SoftLoraGateway, SoftLoraVerdict};
+use softlora_repro::softlora::pipeline::{FrontFrame, Pipeline};
+use softlora_repro::softlora::ServerObserver;
+use softlora_repro::softlora::{NetworkServer, ServerVerdict, SoftLoraConfig, SoftLoraVerdict};
 use std::sync::{Arc, Mutex, OnceLock};
 
 const DEV_ADDR: u32 = 0x2601_0001;
@@ -30,9 +30,10 @@ fn floor_seed() -> u64 {
         let mut scratch = DspScratch::new();
         (0..512)
             .find(|&seed| {
-                let gateway = SoftLoraGateway::builder(phy()).seed(seed).build();
+                // The front half a server gateway seeded `seed` runs.
+                let pipeline = Pipeline::new(SoftLoraConfig::new(phy()), seed);
                 matches!(
-                    gateway.pipeline().front_half_with(&floor, 0, &mut scratch),
+                    pipeline.front_half_with(&floor, 0, &mut scratch),
                     Ok(FrontFrame::NotReceived { outcome: ReceptionOutcome::NoSignal, .. })
                 )
             })
@@ -85,13 +86,35 @@ fn single_gateway_batch_survives_an_unanalysable_copy() {
         uplinks(&[&[FLOOR_SNR_DB], &[10.0], &[10.0], &[10.0], &[10.0]]).concat();
     let gateway = || {
         let dev = device();
-        SoftLoraGateway::builder(phy()).seed(floor_seed()).provision(dev.dev_addr, dev.keys).build()
+        NetworkServer::builder(phy())
+            .gateway(floor_seed())
+            .provision(dev.dev_addr, dev.keys)
+            .build()
     };
     let before = unanalysed_total();
     let mut sequential = gateway();
-    let expected: Vec<SoftLoraVerdict> =
-        stream.iter().map(|d| sequential.process(d).expect("sequential")).collect();
-    let batch = gateway().process_batch(&stream).expect("one short capture must not abort");
+    let expected: Vec<SoftLoraVerdict> = stream
+        .iter()
+        .map(|d| sequential.process_delivery(0, d).expect("sequential").verdict)
+        .collect();
+    // One group per delivery.
+    let groups: Vec<UplinkDeliveries> = stream
+        .iter()
+        .enumerate()
+        .map(|(k, d)| UplinkDeliveries {
+            uplink: k as u64,
+            dev_addr: d.dev_addr,
+            tx_start_global_s: d.arrival_global_s,
+            airtime_s: 0.0,
+            copies: vec![FleetDelivery { gateway: 0, delivery: d.clone() }],
+        })
+        .collect();
+    let batch: Vec<SoftLoraVerdict> = gateway()
+        .process_batch(&groups)
+        .expect("one short capture must not abort")
+        .into_iter()
+        .map(|v| v.verdict)
+        .collect();
     assert_eq!(batch, expected);
     assert_eq!(batch[0], SoftLoraVerdict::NotReceived { outcome: ReceptionOutcome::NoSignal });
     assert!(batch[1..].iter().all(|v| !matches!(v, SoftLoraVerdict::NotReceived { .. })));
