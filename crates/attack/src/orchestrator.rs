@@ -114,12 +114,6 @@ impl FrameDelayAttack {
         self
     }
 
-    /// Selects which fleet gateway the replay chain sits next to.
-    pub fn with_attacked_gateway(mut self, gateway: usize) -> Self {
-        self.attacked_gateway = gateway;
-        self
-    }
-
     /// Attack outcomes so far, one per intercepted uplink.
     pub fn outcomes(&self) -> &[AttackOutcome] {
         &self.outcomes

@@ -5,17 +5,15 @@
 //! runs) against the self-contained reference transform, and the
 //! `onset_pickers` group times the scratch-backed pickers against their
 //! allocating ancestors — the two layers of the allocation-free refactor.
-//! The `fft_kernels`, `fft_real`, `dechirp` and `fft_batched` groups
-//! time the vector-fast kernels (fused-stage schedule, N/2 real-input
-//! transform, chunked dechirp fold, batched multi-frame transforms)
-//! against their reference counterparts.
+//! The `fft_kernels`, `fft_real` and `fft_batched` groups time the
+//! vector-fast kernels (fused-stage schedule, N/2 real-input transform,
+//! batched multi-frame transforms) against their reference counterparts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use softlora_dsp::aic::{aic_onset_with, aic_pick, power_aic_onset_with};
 use softlora_dsp::envelope::EnvelopeDetector;
 use softlora_dsp::fft::{fft_forward, fft_in_place, FftPlan};
 use softlora_dsp::hilbert::envelope_with;
-use softlora_dsp::kernels::dechirp_fold_into;
 use softlora_dsp::{Complex, DspScratch, FftKernel, FftPlanner};
 use std::hint::black_box;
 
@@ -108,28 +106,6 @@ fn bench_fft_real(c: &mut Criterion) {
     group.finish();
 }
 
-/// The fused dechirp(+fold) kernel on an SF7-shaped window: conjugate
-/// multiply by the reference chirp and boxcar-fold `os` polyphase
-/// samples per chip.
-fn bench_dechirp(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dechirp");
-    // SF7 at the SDR rate: 128 chips, 19 samples per chip.
-    let (chips, os) = (128usize, 19usize);
-    let n = chips * os;
-    let window = tone(n);
-    let reference: Vec<Complex> = (0..n).map(|i| Complex::cis(-0.07 * i as f64)).collect();
-    for kernel in [FftKernel::Reference, FftKernel::Fused] {
-        let label = format!("{kernel:?}").to_lowercase();
-        group.bench_function(format!("{label}/{n}"), |b| {
-            softlora_dsp::set_fast_kernels(kernel == FftKernel::Fused);
-            let mut out = vec![Complex::ZERO; chips];
-            b.iter(|| dechirp_fold_into(black_box(&window), &reference, os, &mut out));
-        });
-    }
-    softlora_dsp::set_fast_kernels(true);
-    group.finish();
-}
-
 /// Batched multi-frame transforms: `forward_many` over 1/8/64 frames vs
 /// the same frames through per-frame `forward` calls. Reported per
 /// batch; divide by the frame count for per-frame cost.
@@ -191,7 +167,6 @@ criterion_group!(
     bench_fft_planner,
     bench_fft_kernels,
     bench_fft_real,
-    bench_dechirp,
     bench_fft_batched,
     bench_pickers
 );

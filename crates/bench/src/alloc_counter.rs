@@ -1,8 +1,8 @@
 //! A counting `#[global_allocator]` harness.
 //!
 //! The allocation-free signal path (FFT planner + per-worker scratch
-//! arenas) claims that a warm receiver demodulates and timestamps frames
-//! without touching the heap. That claim is cheap to regress silently —
+//! arenas) claims that a warm receiver timestamps frames without
+//! touching the heap. That claim is cheap to regress silently —
 //! one stray `collect()` in a helper brings the allocations back with no
 //! test failing — so the `zero_alloc` integration test installs this
 //! allocator and pins the count to **zero** per steady-state frame.

@@ -13,9 +13,9 @@ use softlora_sim::{Delivery, FleetDelivery, UplinkDeliveries};
 
 const GATEWAYS: usize = 2;
 const UPLINKS: usize = 24;
-/// Below the −5 dB switch to the matched-filter FB estimator (the stage
-/// that runs an FFT) and above the floor band where a copy can go
-/// unanalysed, so every copy builds on the same plan.
+/// Below the 10 dB switch (`ls_below_snr_db`) to the matched-filter FB
+/// estimator (the stage that runs an FFT) and above the floor band where
+/// a copy can go unanalysed, so every copy builds on the same plan.
 const SNR_DB: f64 = -5.5;
 
 fn phy() -> PhyConfig {

@@ -165,8 +165,9 @@ mod tests {
     #[test]
     fn low_snr_path_uses_ls_estimator() {
         let (mut dev, mut gw) = setup();
-        // SNR −7 dB < the −5 dB threshold -> matched-filter LS path; the
-        // frame still decodes (SF7 floor −7.5) and the FB must be close.
+        // SNR −7 dB < the 10 dB threshold (`ls_below_snr_db`) ->
+        // matched-filter LS path; the frame still decodes (SF7 floor −7.5)
+        // and the FB must be close.
         let d = delivery(&mut dev, 100.0, -21_000.0, -7.0, 0.0, false);
         let v = process(&mut gw, &d);
         if let SoftLoraVerdict::Accepted { fb, .. } = v {

@@ -188,7 +188,8 @@ mod tests {
             softlora_dsp::DspError::InputTooShort { required: 2, actual: 0 }.into();
         assert!(d.source().is_some());
         assert!(d.to_string().contains("dsp"));
-        let p: SoftLoraError = softlora_phy::PhyError::HeaderLost.into();
+        let p: SoftLoraError =
+            softlora_phy::PhyError::InvalidConfig { reason: "bandwidth must be positive" }.into();
         assert!(p.to_string().contains("phy"));
         let l: SoftLoraError = softlora_lorawan::LorawanError::BadMic.into();
         assert!(l.to_string().contains("lorawan"));

@@ -4,7 +4,8 @@
 //! iterative, in-place, decimation-in-time Cooley–Tukey transform for
 //! power-of-two lengths, plus convenience wrappers that zero-pad arbitrary
 //! lengths. Used by the spectrogram (paper Fig. 6), the Hilbert-transform
-//! envelope detector (paper §6.1.2) and the dechirp-based LoRa demodulator.
+//! envelope detector (paper §6.1.2) and the matched-filter frequency-bias
+//! estimator's dechirped spectrum (paper §7.1).
 //!
 //! Two execution paths share the same butterfly arithmetic:
 //!
@@ -118,9 +119,9 @@ pub fn fft_real(input: &[f64]) -> Vec<Complex> {
 
 /// Index of the largest-magnitude FFT bin together with its magnitude.
 ///
-/// This is the core of the LoRa dechirp demodulator: after multiplying a
-/// received symbol by the conjugate base chirp, the symbol value appears as
-/// the argmax bin of the FFT.
+/// After multiplying a received symbol by the conjugate base chirp, the
+/// symbol value (plus the frequency bias, in bins) appears as the argmax
+/// bin of the FFT.
 ///
 /// Returns `(0, 0.0)` for an empty spectrum.
 pub fn argmax_bin(spectrum: &[Complex]) -> (usize, f64) {
@@ -132,27 +133,6 @@ pub fn argmax_bin(spectrum: &[Complex]) -> (usize, f64) {
         }
     }
     best
-}
-
-/// Fractional peak position of a spectrum, in (possibly wrapped) bins: the
-/// argmax bin refined by parabolic interpolation over its two circular
-/// neighbours, clamped to ±0.5 bin.
-///
-/// This is the sub-bin refinement of the LoRa demodulator's dechirped
-/// tone measurement; it lives here (next to [`argmax_bin`]) so the
-/// magnitude/clamp arithmetic exists exactly once instead of being
-/// re-derived per receiver. Returns `0.0` for an empty spectrum.
-pub fn parabolic_peak(spectrum: &[Complex]) -> f64 {
-    if spectrum.is_empty() {
-        return 0.0;
-    }
-    let (pk, _) = argmax_bin(spectrum);
-    let m = spectrum.len();
-    let mag = |i: usize| spectrum[i % m].norm();
-    let (ym, y0, yp) = (mag(pk + m - 1), mag(pk), mag(pk + 1));
-    let denom = ym - 2.0 * y0 + yp;
-    let frac = if denom.abs() > 1e-12 { (0.5 * (ym - yp) / denom).clamp(-0.5, 0.5) } else { 0.0 };
-    pk as f64 + frac
 }
 
 /// Circular cross-correlation of two equal-length complex signals via FFT:
@@ -485,9 +465,8 @@ impl FftPlan {
     ///
     /// The stage loop runs stage-major across frames, so one plan's
     /// twiddle tables stream through the cache once per stage for the
-    /// whole batch instead of once per frame — the amortization the
-    /// demodulator's symbol groups and `process_batch` uplink groups
-    /// want.
+    /// whole batch instead of once per frame — the amortization
+    /// `process_batch` uplink groups want.
     ///
     /// # Panics
     ///

@@ -163,99 +163,6 @@ pub fn mul_cycle_into(a: &[Complex], cycle: &[Complex], out: &mut [Complex]) {
     }
 }
 
-/// Fused dechirp-and-fold: multiplies `window` by the (pre-conjugated)
-/// `reference` chirp and folds the product into `out` with oversampling
-/// factor `os`: `out[i] += sum_{k<os} window[i*os+k] * reference[i*os+k]`.
-///
-/// This is the FFT *input pass* of the dechirp demodulator — the product
-/// never materializes, it lands folded into the `out.len()` FFT slots
-/// directly. `out` is accumulated into (callers pass zeroed slots).
-///
-/// Both paths accumulate each slot in ascending-`k` order, so they are
-/// bit-identical; the chunked path additionally requires `window` and
-/// `reference` to cover `out.len() * os` samples and falls back to the
-/// bounds-checked reference loop otherwise.
-#[inline]
-pub fn dechirp_fold_into(
-    window: &[Complex],
-    reference: &[Complex],
-    os: usize,
-    out: &mut [Complex],
-) {
-    let need = out.len() * os;
-    if fast_kernels() && os >= 1 && window.len() >= need && reference.len() >= need {
-        dechirp_fold_chunked(&window[..need], &reference[..need], os, out);
-    } else {
-        dechirp_fold_reference(window, reference, os, out);
-    }
-}
-
-/// Portable reference form of [`dechirp_fold_into`]: the exact
-/// bounds-checked loop the demodulator ran before this module existed.
-#[inline]
-pub fn dechirp_fold_reference(
-    window: &[Complex],
-    reference: &[Complex],
-    os: usize,
-    out: &mut [Complex],
-) {
-    for (i, slot) in out.iter_mut().enumerate() {
-        for k in 0..os {
-            let idx = i * os + k;
-            if idx < window.len() && idx < reference.len() {
-                *slot += window[idx] * reference[idx];
-            }
-        }
-    }
-}
-
-/// Chunked form of [`dechirp_fold_into`]: per output slot, the `os`
-/// window/reference products are computed in `2 * LANES`-wide tiles of
-/// **consecutive** samples (contiguous loads, so the multiplies pack into
-/// vector registers), then folded into the slot accumulator in
-/// ascending-`k` order. The products are IEEE-identical to the reference
-/// loop's and each slot sees the same sequence of adds from a zeroed
-/// start, so the result is bit-identical.
-///
-/// # Panics
-///
-/// Panics if `window`/`reference` are shorter than `out.len() * os`.
-#[inline]
-pub fn dechirp_fold_chunked(
-    window: &[Complex],
-    reference: &[Complex],
-    os: usize,
-    out: &mut [Complex],
-) {
-    assert!(window.len() >= out.len() * os && reference.len() >= out.len() * os);
-    const TILE: usize = 2 * LANES;
-    for (i, slot) in out.iter_mut().enumerate() {
-        let w = &window[i * os..(i + 1) * os];
-        let r = &reference[i * os..(i + 1) * os];
-        let mut acc_re = 0.0f64;
-        let mut acc_im = 0.0f64;
-        let mut wt = w.chunks_exact(TILE);
-        let mut rt = r.chunks_exact(TILE);
-        for (ws, rs) in (&mut wt).zip(&mut rt) {
-            let mut re = [0.0f64; TILE];
-            let mut im = [0.0f64; TILE];
-            for t in 0..TILE {
-                re[t] = ws[t].re * rs[t].re - ws[t].im * rs[t].im;
-                im[t] = ws[t].re * rs[t].im + ws[t].im * rs[t].re;
-            }
-            for t in 0..TILE {
-                acc_re += re[t];
-                acc_im += im[t];
-            }
-        }
-        for (x, y) in wt.remainder().iter().zip(rt.remainder()) {
-            acc_re += x.re * y.re - x.im * y.im;
-            acc_im += x.re * y.im + x.im * y.re;
-        }
-        *slot += Complex::new(acc_re, acc_im);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,39 +191,6 @@ mod tests {
                 assert_eq!(w.re.to_bits(), g.re.to_bits());
                 assert_eq!(w.im.to_bits(), g.im.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn chunked_fold_is_bit_identical() {
-        for os in [1usize, 2, 3, 4] {
-            for chips in [1usize, 4, 7, 32, 129] {
-                let w = sig(chips * os, 3);
-                let r = sig(chips * os, 4);
-                let mut want = vec![Complex::ZERO; chips];
-                let mut got = vec![Complex::ZERO; chips];
-                dechirp_fold_reference(&w, &r, os, &mut want);
-                dechirp_fold_chunked(&w, &r, os, &mut got);
-                for (a, b) in want.iter().zip(&got) {
-                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "os={os} chips={chips}");
-                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "os={os} chips={chips}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fold_with_short_window_matches_reference_semantics() {
-        // The entry point must preserve the bounds-checked semantics when
-        // the window does not cover every slot.
-        let w = sig(10, 5);
-        let r = sig(12, 6);
-        let mut want = vec![Complex::ZERO; 8];
-        let mut got = vec![Complex::ZERO; 8];
-        dechirp_fold_reference(&w, &r, 2, &mut want);
-        dechirp_fold_into(&w, &r, 2, &mut got);
-        for (a, b) in want.iter().zip(&got) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
         }
     }
 

@@ -45,14 +45,12 @@ pub mod aic;
 pub mod complex;
 pub mod envelope;
 pub mod fft;
-pub mod filter;
 pub mod kernels;
 pub mod math;
 pub mod optimize;
 pub mod regression;
 pub mod scratch;
 pub mod spectrogram;
-pub mod stats;
 pub mod unwrap;
 pub mod window;
 

@@ -90,13 +90,6 @@ impl DspScratch {
         }
     }
 
-    /// Checks out a zeroed batch lane: `frames` contiguous `n`-point
-    /// frames in one buffer, shaped for [`crate::fft::FftPlan::forward_many`].
-    /// Return it with [`DspScratch::put_complex`].
-    pub fn take_batch(&mut self, frames: usize, n: usize) -> Vec<Complex> {
-        self.take_complex(frames * n)
-    }
-
     /// Checks out a real buffer of exactly `len` zeroed elements.
     pub fn take_real(&mut self, len: usize) -> Vec<f64> {
         let mut buf = self.real.pop().unwrap_or_default();

@@ -3,16 +3,14 @@
 //! Contract (mirrors the module docs of `softlora_dsp::kernels`): every
 //! fast path is **bit-for-bit identical** to its reference twin — the
 //! fused radix-4 FFT schedule, the batched `forward_many`, and the
-//! chunked multiply/fold kernels — *except* the real-input N/2
+//! chunked multiply kernel — *except* the real-input N/2
 //! transform, which is gated on the fast-kernel switch and pinned here
 //! to a bounded relative error instead. Exhaustive over all pow2 sizes
 //! to 2^14 plus proptest-randomized contents.
 
 use proptest::prelude::*;
 use softlora_dsp::fft::{FftPlan, FftPlanner};
-use softlora_dsp::kernels::{
-    dechirp_fold_chunked, dechirp_fold_reference, mul_chunked, mul_reference,
-};
+use softlora_dsp::kernels::{mul_chunked, mul_reference};
 use softlora_dsp::{Complex, FftKernel};
 
 /// Deterministic pseudo-random complex buffer for a given size/seed
@@ -139,29 +137,7 @@ proptest! {
         }
     }
 
-    /// Exact claim #4: the chunked dechirp fold accumulates every FFT
-    /// slot in the same order as the demodulator's original
-    /// bounds-checked loop — bit-identical for any oversampling factor.
-    #[test]
-    fn chunked_fold_matches_reference(
-        chips_log2 in 0u32..10,
-        os in 1usize..5,
-        seed in any::<u64>(),
-    ) {
-        let chips = 1usize << chips_log2;
-        let w = signal(chips * os, seed);
-        let r = signal(chips * os, seed.wrapping_add(7));
-        let mut want = vec![Complex::ZERO; chips];
-        let mut got = vec![Complex::ZERO; chips];
-        dechirp_fold_reference(&w, &r, os, &mut want);
-        dechirp_fold_chunked(&w, &r, os, &mut got);
-        for (x, y) in want.iter().zip(&got) {
-            prop_assert_eq!(x.re.to_bits(), y.re.to_bits());
-            prop_assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
-    }
-
-    /// Exact claim #5: random batches through `forward_many` under the
+    /// Exact claim #4: random batches through `forward_many` under the
     /// fused schedule equal the reference schedule frame by frame.
     #[test]
     fn fused_batch_matches_reference_schedule(

@@ -131,11 +131,6 @@ impl ClassADevice {
         Ok(())
     }
 
-    /// Seconds until the duty cycle allows the next uplink.
-    pub fn duty_wait_s(&self, now_local_s: f64) -> f64 {
-        self.duty.wait_s(now_local_s)
-    }
-
     /// Oldest buffered record's age at `now_local_s`, if any.
     pub fn oldest_record_age(&self, now_local_s: f64) -> Option<f64> {
         self.buffer

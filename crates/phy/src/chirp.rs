@@ -12,10 +12,9 @@
 //! `Q(t) = A/2·sin Θ(t)`. Data symbols are cyclic shifts of the base chirp.
 //!
 //! This module generates sampled versions of these waveforms at an arbitrary
-//! sample rate — `2.4 Msps` for the RTL-SDR capture path, or an integer
-//! oversampling of `W` for the modem path.
+//! sample rate — `2.4 Msps` for the RTL-SDR capture path.
 
-use crate::params::{PhyConfig, SpreadingFactor};
+use crate::params::SpreadingFactor;
 use crate::PhyError;
 use softlora_dsp::Complex;
 use std::collections::HashMap;
@@ -57,10 +56,10 @@ pub enum ChirpDirection {
 /// ```
 /// use softlora_phy::{ChirpGenerator, SpreadingFactor};
 ///
-/// // Modem-rate generator: 2 samples per chip.
-/// let gen = ChirpGenerator::oversampled(SpreadingFactor::Sf7, 125e3, 2)?;
+/// // The RTL-SDR's 2.4 Msps: 2457 samples per 1.024 ms SF7 chirp.
+/// let gen = ChirpGenerator::new(SpreadingFactor::Sf7, 125e3, 2.4e6)?;
 /// let chirp = gen.upchirp(0, 0.0, 0.0, 1.0);
-/// assert_eq!(chirp.len(), 2 * 128);
+/// assert_eq!(chirp.len(), 2457);
 /// # Ok::<(), softlora_phy::PhyError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -93,34 +92,6 @@ impl ChirpGenerator {
         Ok(ChirpGenerator { sf, bandwidth_hz, sample_rate, samples_per_chirp })
     }
 
-    /// Creates a modem-rate generator with an integer number of samples per
-    /// chip (`sample_rate = oversample · bandwidth`), which keeps symbol
-    /// boundaries sample-aligned for the demodulator.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhyError::InvalidConfig`] if `oversample` is zero.
-    pub fn oversampled(
-        sf: SpreadingFactor,
-        bandwidth_hz: f64,
-        oversample: usize,
-    ) -> Result<Self, PhyError> {
-        if oversample == 0 {
-            return Err(PhyError::InvalidConfig { reason: "oversample must be positive" });
-        }
-        Self::new(sf, bandwidth_hz, bandwidth_hz * oversample as f64)
-    }
-
-    /// Creates the paper's SDR-capture generator for a PHY config: the
-    /// RTL-SDR's 2.4 Msps.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PhyError::InvalidConfig`] from [`ChirpGenerator::new`].
-    pub fn sdr_rate(cfg: &PhyConfig) -> Result<Self, PhyError> {
-        Self::new(cfg.sf, cfg.channel.bandwidth.hz(), 2.4e6)
-    }
-
     /// Spreading factor of the generated chirps.
     pub fn sf(&self) -> SpreadingFactor {
         self.sf
@@ -151,19 +122,9 @@ impl ChirpGenerator {
     ///
     /// # Panics
     ///
-    /// Panics if `symbol >= 2^SF` (symbols are validated upstream by the
-    /// modulator; this is a programming error).
+    /// Panics if `symbol >= 2^SF` (a programming error).
     pub fn upchirp(&self, symbol: usize, delta_hz: f64, theta: f64, amp: f64) -> Vec<Complex> {
         self.chirp(ChirpDirection::Up, symbol, delta_hz, theta, amp)
-    }
-
-    /// Generates one down chirp (used by the SFD and downlink preambles).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `symbol >= 2^SF`.
-    pub fn downchirp(&self, symbol: usize, delta_hz: f64, theta: f64, amp: f64) -> Vec<Complex> {
-        self.chirp(ChirpDirection::Down, symbol, delta_hz, theta, amp)
     }
 
     /// Generates a chirp in the given direction.
@@ -247,8 +208,6 @@ pub struct ChirpRefs {
     pub upchirp: Arc<Vec<Complex>>,
     /// `conj(upchirp)` — the up-dechirp reference.
     pub up_conj: Arc<Vec<Complex>>,
-    /// `conj(downchirp)` — the down-dechirp (SFD) reference.
-    pub down_conj: Arc<Vec<Complex>>,
 }
 
 /// Cache key: `(sf, bandwidth bits, sample-rate bits)`.
@@ -263,10 +222,10 @@ fn refs_cache() -> &'static Mutex<HashMap<RefsKey, ChirpRefs>> {
 /// The cached reference set for `(sf, bandwidth_hz, sample_rate)`,
 /// synthesised on first request.
 ///
-/// Demodulators and FB estimators are constructed per gateway (and per
+/// SDR receivers and FB estimators are constructed per gateway (and per
 /// benchmark iteration), but their reference chirps depend only on the
-/// radio parameterisation — a fleet of SF7/125 kHz receivers shares three
-/// tables instead of synthesising `3 × gateways` of them. The returned
+/// radio parameterisation — a fleet of SF7/125 kHz receivers shares two
+/// tables instead of synthesising `2 × gateways` of them. The returned
 /// handles are cheap to clone.
 ///
 /// # Errors
@@ -285,13 +244,7 @@ pub fn cached_chirp_refs(
     let generator = ChirpGenerator::new(sf, bandwidth_hz, sample_rate)?;
     let upchirp = generator.upchirp(0, 0.0, 0.0, 1.0);
     let up_conj: Vec<Complex> = upchirp.iter().map(|z| z.conj()).collect();
-    let down_conj: Vec<Complex> =
-        generator.downchirp(0, 0.0, 0.0, 1.0).iter().map(|z| z.conj()).collect();
-    let refs = ChirpRefs {
-        upchirp: Arc::new(upchirp),
-        up_conj: Arc::new(up_conj),
-        down_conj: Arc::new(down_conj),
-    };
+    let refs = ChirpRefs { upchirp: Arc::new(upchirp), up_conj: Arc::new(up_conj) };
     let mut cache = refs_cache().lock().expect("chirp cache poisoned");
     // A racing thread may have inserted meanwhile; keep the first entry so
     // every holder shares one table.
@@ -305,7 +258,7 @@ mod tests {
     use softlora_dsp::unwrap::unwrap_iq;
 
     fn gen(os: usize) -> ChirpGenerator {
-        ChirpGenerator::oversampled(SpreadingFactor::Sf7, 125e3, os).unwrap()
+        ChirpGenerator::new(SpreadingFactor::Sf7, 125e3, 125e3 * os as f64).unwrap()
     }
 
     #[test]
@@ -324,7 +277,6 @@ mod tests {
     fn constructor_validation() {
         assert!(ChirpGenerator::new(SpreadingFactor::Sf7, 0.0, 1e6).is_err());
         assert!(ChirpGenerator::new(SpreadingFactor::Sf7, 125e3, 60e3).is_err());
-        assert!(ChirpGenerator::oversampled(SpreadingFactor::Sf7, 125e3, 0).is_err());
     }
 
     #[test]
@@ -392,7 +344,7 @@ mod tests {
         // the conjugate (down) reference it concentrates. This property lets
         // receivers detect transmission direction in one chirp (paper §4.2.2).
         let g = gen(1);
-        let down = g.downchirp(0, 0.0, 0.0, 1.0);
+        let down = g.chirp(ChirpDirection::Down, 0, 0.0, 0.0, 1.0);
         let up_ref = g.dechirp_reference();
         let down_ref: Vec<Complex> = down.iter().map(|z| z.conj()).collect();
 

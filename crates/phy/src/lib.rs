@@ -7,9 +7,8 @@
 //! * the **Chirp Spread Spectrum waveform** exactly as modelled in paper
 //!   §5.2/§6.1.1/§7.1 — instantaneous angle
 //!   `Θ(t) = πW²/2^S·t² − πW·t + 2πδ·t + θ` — in [`chirp`];
-//! * a full **modulator/demodulator** pair (whitening, Hamming FEC,
-//!   diagonal interleaving, Gray mapping, explicit header, payload CRC) in
-//!   [`modulator`], [`demodulator`] and [`coding`];
+//! * the LoRa **PHY parameters and airtime** (spreading factor, bandwidth,
+//!   coding rate, the SX1276 symbol-count formula) in [`params`];
 //! * **oscillator models** with ppm-scale frequency bias — the physical trait
 //!   the paper's defence keys on — in [`oscillator`];
 //! * the **SDR receiver front-end** (quadrature mixing with receiver bias
@@ -23,17 +22,16 @@
 //! * a behavioural model of the **RN2483 receiver chip's** lock/drop/alert
 //!   logic under jamming (paper §4.3) in [`rn2483`].
 //!
-//! The crate is deliberately self-contained: given a payload, a device
-//! oscillator and a channel, it produces the same I/Q traces an RTL-SDR
-//! would capture, which the `softlora` core crate then timestamps and
-//! analyses.
+//! As in the paper's gateway (§5), a commodity LoRaWAN radio decodes the
+//! frame and the SDR captures only the preamble, so the crate holds no
+//! modem: given a device oscillator and a channel, it produces the
+//! preamble I/Q trace an RTL-SDR would capture, which the `softlora` core
+//! crate then timestamps and analyses, while the payload bytes travel
+//! with the delivery.
 
 pub mod channel;
 pub mod chirp;
-pub mod coding;
-pub mod demodulator;
 pub mod frame_timing;
-pub mod modulator;
 pub mod noise;
 pub mod oscillator;
 pub mod params;
@@ -41,7 +39,6 @@ pub mod rn2483;
 pub mod sdr;
 
 pub use chirp::{cached_chirp_refs, ChirpGenerator, ChirpRefs};
-pub use demodulator::{DemodScratch, DemodulatedFrame, Demodulator};
 pub use params::{Bandwidth, CodingRate, LoRaChannel, PhyConfig, SpreadingFactor};
 
 /// Errors returned by PHY-layer routines.
@@ -52,28 +49,6 @@ pub enum PhyError {
         /// Human-readable description of the violated constraint.
         reason: &'static str,
     },
-    /// The payload exceeds the maximum the PHY header can describe.
-    PayloadTooLong {
-        /// Maximum payload length in bytes.
-        max: usize,
-        /// Requested payload length in bytes.
-        actual: usize,
-    },
-    /// Demodulation failed before the header could be recovered (no
-    /// preamble lock, or header parity failure). This is the "silent drop"
-    /// path of the RN2483 (paper §4.3): no alert is raised.
-    HeaderLost,
-    /// The header decoded but the payload failed its CRC — the chip raises
-    /// a frame-corruption alert (paper §4.3).
-    PayloadCrc,
-    /// The capture does not contain enough samples for the requested
-    /// operation.
-    CaptureTooShort {
-        /// Samples required.
-        required: usize,
-        /// Samples available.
-        actual: usize,
-    },
     /// An underlying DSP routine rejected its input.
     Dsp(softlora_dsp::DspError),
 }
@@ -82,14 +57,6 @@ impl std::fmt::Display for PhyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PhyError::InvalidConfig { reason } => write!(f, "invalid PHY configuration: {reason}"),
-            PhyError::PayloadTooLong { max, actual } => {
-                write!(f, "payload too long: {actual} bytes exceeds maximum {max}")
-            }
-            PhyError::HeaderLost => write!(f, "frame header lost (silent drop, no alert)"),
-            PhyError::PayloadCrc => write!(f, "payload integrity check failed (alert raised)"),
-            PhyError::CaptureTooShort { required, actual } => {
-                write!(f, "capture too short: need {required} samples, got {actual}")
-            }
             PhyError::Dsp(e) => write!(f, "dsp error: {e}"),
         }
     }
@@ -116,10 +83,8 @@ mod tests {
 
     #[test]
     fn error_display() {
-        assert!(PhyError::HeaderLost.to_string().contains("silent"));
-        assert!(PhyError::PayloadCrc.to_string().contains("alert"));
-        let e = PhyError::PayloadTooLong { max: 255, actual: 300 };
-        assert!(e.to_string().contains("300"));
+        let e = PhyError::InvalidConfig { reason: "bandwidth must be positive" };
+        assert!(e.to_string().contains("bandwidth must be positive"));
     }
 
     #[test]

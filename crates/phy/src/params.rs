@@ -150,26 +150,6 @@ impl CodingRate {
             CodingRate::Cr4_8 => 4,
         }
     }
-
-    /// Codeword length in bits (`4 + cr`).
-    pub const fn codeword_bits(self) -> usize {
-        4 + self.parity_bits()
-    }
-
-    /// Constructs from the number of parity bits (1..=4).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhyError::InvalidConfig`] for values outside `1..=4`.
-    pub fn from_parity_bits(cr: usize) -> Result<Self, PhyError> {
-        match cr {
-            1 => Ok(CodingRate::Cr4_5),
-            2 => Ok(CodingRate::Cr4_6),
-            3 => Ok(CodingRate::Cr4_7),
-            4 => Ok(CodingRate::Cr4_8),
-            _ => Err(PhyError::InvalidConfig { reason: "coding rate parity bits must be 1..=4" }),
-        }
-    }
 }
 
 impl std::fmt::Display for CodingRate {
@@ -286,30 +266,6 @@ impl PhyConfig {
     pub fn header_end_time(&self) -> f64 {
         (self.preamble_chirps as f64 + 4.25 + 8.0) * self.chirp_time()
     }
-
-    /// Validates internal consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhyError::InvalidConfig`] when preamble length is below the
-    /// 6 chirps the receiver needs to lock, or when LDRO is missing where
-    /// the LoRaWAN regional parameters mandate it.
-    pub fn validate(&self) -> Result<(), PhyError> {
-        if self.preamble_chirps < 6 {
-            return Err(PhyError::InvalidConfig {
-                reason: "preamble must contain at least 6 chirps for receiver lock",
-            });
-        }
-        if self.sf >= SpreadingFactor::Sf11
-            && self.channel.bandwidth == Bandwidth::Khz125
-            && !self.low_data_rate
-        {
-            return Err(PhyError::InvalidConfig {
-                reason: "low data rate optimisation is mandatory for SF11/SF12 at 125 kHz",
-            });
-        }
-        Ok(())
-    }
 }
 
 /// EU868 regulatory constants used by the paper's overhead analysis (§3.2).
@@ -376,6 +332,22 @@ mod tests {
         assert!(cfg12.low_data_rate);
         // num = 8*30 - 48 + 28 + 16 = 236; ceil(236/40) = 6 -> 8 + 30 = 38.
         assert_eq!(cfg12.payload_symbols(30), 38);
+        // num = 80 - 48 + 44 = 76; ceil(76/40) = 2 -> 8 + 10 = 18.
+        assert_eq!(cfg12.payload_symbols(10), 18);
+        // num = 408 - 48 + 44 = 404; ceil(404/40) = 11 -> 8 + 55 = 63.
+        assert_eq!(cfg12.payload_symbols(51), 63);
+        // SF11 with LDRO: den = 4*(11-2) = 36.
+        let cfg11 = PhyConfig::uplink(SpreadingFactor::Sf11);
+        assert!(cfg11.low_data_rate);
+        // num = 80 - 44 + 44 = 80; ceil(80/36) = 3 -> 8 + 15 = 23.
+        assert_eq!(cfg11.payload_symbols(10), 23);
+        // num = 240 - 44 + 44 = 240; ceil(240/36) = 7 -> 8 + 35 = 43.
+        assert_eq!(cfg11.payload_symbols(30), 43);
+        // num = 408 - 44 + 44 = 408; ceil(408/36) = 12 -> 8 + 60 = 68.
+        assert_eq!(cfg11.payload_symbols(51), 68);
+        // Without LDRO, den = 44: ceil(240/44) = 6 -> 8 + 30 = 38.
+        let no_ldro = PhyConfig { low_data_rate: false, ..cfg11 };
+        assert_eq!(no_ldro.payload_symbols(30), 38);
     }
 
     #[test]
@@ -407,17 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn validation_rules() {
-        let mut cfg = PhyConfig::uplink(SpreadingFactor::Sf7);
-        assert!(cfg.validate().is_ok());
-        cfg.preamble_chirps = 4;
-        assert!(cfg.validate().is_err());
-        let mut cfg12 = PhyConfig::uplink(SpreadingFactor::Sf12);
-        cfg12.low_data_rate = false;
-        assert!(cfg12.validate().is_err());
-    }
-
-    #[test]
     fn channel_ppm_conversions() {
         let ch = LoRaChannel::PAPER;
         // Paper: 120 Hz is 0.14 ppm of 869.75 MHz.
@@ -427,11 +388,9 @@ mod tests {
 
     #[test]
     fn coding_rate_accessors() {
-        assert_eq!(CodingRate::Cr4_5.codeword_bits(), 5);
-        assert_eq!(CodingRate::Cr4_8.codeword_bits(), 8);
-        assert_eq!(CodingRate::from_parity_bits(3).unwrap(), CodingRate::Cr4_7);
-        assert!(CodingRate::from_parity_bits(0).is_err());
-        assert!(CodingRate::from_parity_bits(5).is_err());
+        assert_eq!(CodingRate::Cr4_5.parity_bits(), 1);
+        assert_eq!(CodingRate::Cr4_7.parity_bits(), 3);
+        assert_eq!(CodingRate::Cr4_8.parity_bits(), 4);
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! legitimate reception. This module reproduces that observable behaviour —
 //! which frames the host sees and whether any alert is raised — without
 //! waveform-level simulation, so the network simulator can evaluate
-//! thousands of frames cheaply. (The waveform-level path exists too: see
-//! [`crate::demodulator`].)
+//! thousands of frames cheaply.
 
 use crate::channel::CAPTURE_THRESHOLD_DB;
 use crate::frame_timing::{jamming_windows, JammingCalibration, JammingWindows};
@@ -73,11 +72,6 @@ impl Rn2483Model {
     /// Creates the model with the Table-1 calibration.
     pub fn new() -> Self {
         Rn2483Model { calibration: JammingCalibration::default() }
-    }
-
-    /// Creates the model with a custom calibration.
-    pub fn with_calibration(calibration: JammingCalibration) -> Self {
-        Rn2483Model { calibration }
     }
 
     /// The calibration in use.

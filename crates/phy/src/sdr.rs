@@ -150,12 +150,6 @@ impl SdrReceiver {
         }
     }
 
-    /// Overrides the sample rate.
-    pub fn with_sample_rate(mut self, sample_rate: f64) -> Self {
-        self.sample_rate = sample_rate;
-        self
-    }
-
     /// Disables ADC quantisation (ideal front-end, useful for isolating
     /// algorithmic error in tests).
     pub fn without_quantisation(mut self) -> Self {

@@ -7,7 +7,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`dsp`] | FFT, windows, Hilbert envelope, AIC pickers, phase unwrap, regression, differential evolution |
-//! | [`phy`] | CSS chirps, modulator/demodulator, oscillators, SDR front-end, channels, jamming windows, RN2483 behaviour |
+//! | [`phy`] | CSS chirps, PHY parameters and airtime, oscillators, SDR front-end, channels, jamming windows, RN2483 behaviour |
 //! | [`crypto`] | AES-128, AES-CMAC, LoRaWAN MIC / payload encryption |
 //! | [`lorawan`] | frames, Class A device, duty cycle, elapsed-time timestamping, commodity gateway |
 //! | [`sim`] | drifting clocks, event queue, radio medium, building/campus deployments, interception |

@@ -6,6 +6,10 @@
 //! its row. The production crates never depend on the simulator, the
 //! attack models or the benchmark harness; the edges that do so today
 //! are listed with the ROADMAP item that removes them.
+//!
+//! The public modules of the two signal crates are pinned the same way in
+//! [`MODULES`]: a module added to or removed from `softlora-dsp` or
+//! `softlora-phy` needs its row changed here.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -73,6 +77,32 @@ const ALLOWED: &[(&str, &str, Option<&str>)] = &[
     ("softlora-store", "softlora-telemetry", None),
 ];
 
+/// Every `pub mod` of the signal crates, by crate root.
+const MODULES: &[(&str, &[&str])] = &[
+    (
+        "crates/dsp/src/lib.rs",
+        &[
+            "aic",
+            "complex",
+            "envelope",
+            "fft",
+            "hilbert",
+            "kernels",
+            "math",
+            "optimize",
+            "regression",
+            "scratch",
+            "spectrogram",
+            "unwrap",
+            "window",
+        ],
+    ),
+    (
+        "crates/phy/src/lib.rs",
+        &["channel", "chirp", "frame_timing", "noise", "oscillator", "params", "rn2483", "sdr"],
+    ),
+];
+
 /// The package name and the workspace dependencies of one manifest's
 /// `[dependencies]` table.
 fn parse_manifest(text: &str) -> (String, Vec<String>) {
@@ -136,6 +166,34 @@ fn dependency_edges_match_the_committed_table() {
     assert!(added.is_empty(), "edges missing from ALLOWED: {added:?}");
     let removed: Vec<_> = allowed.difference(&actual).collect();
     assert!(removed.is_empty(), "ALLOWED rows whose edge is gone (delete them): {removed:?}");
+}
+
+/// The modules a crate root declares with a `pub mod name;` line.
+fn public_modules(text: &str) -> BTreeSet<String> {
+    text.lines()
+        .filter_map(|line| line.trim().strip_prefix("pub mod ")?.strip_suffix(';'))
+        .map(|name| name.trim().to_string())
+        .collect()
+}
+
+#[test]
+fn module_parser_reads_only_public_module_lines() {
+    let found = public_modules("pub mod a;\nmod b;\npub mod c ;\npub mod d {\n}\n// pub mod e;\n");
+    assert_eq!(found, BTreeSet::from(["a".to_string(), "c".to_string()]));
+}
+
+#[test]
+fn signal_crate_modules_match_the_committed_table() {
+    for (root, modules) in MODULES {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(root);
+        let text = std::fs::read_to_string(&path).expect("crate root is readable");
+        let actual = public_modules(&text);
+        let allowed: BTreeSet<String> = modules.iter().map(|m| m.to_string()).collect();
+        let added: Vec<_> = actual.difference(&allowed).collect();
+        assert!(added.is_empty(), "{root}: modules missing from MODULES: {added:?}");
+        let removed: Vec<_> = allowed.difference(&actual).collect();
+        assert!(removed.is_empty(), "{root}: MODULES rows whose module is gone: {removed:?}");
+    }
 }
 
 #[test]
