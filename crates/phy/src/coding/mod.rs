@@ -1,21 +1,20 @@
-//! The LoRa bit-processing chain: whitening, Hamming FEC, diagonal
-//! interleaving and Gray mapping.
+//! Bit-level primitives of the LoRa frame format: whitening, diagonal
+//! interleaving, Gray mapping and the payload CRC-16.
 //!
-//! LoRa processes payload bits through four stages before they become chirp
-//! symbols: the payload is **whitened** (XOR with an LFSR sequence),
-//! nibbles are **Hamming-encoded** to `4 + CR` bit codewords, codewords are
-//! **diagonally interleaved** across blocks of `SF` codewords to spread
-//! burst errors over many symbols, and the resulting symbol values are
-//! **Gray-demapped** so that a ±1 chip timing error corrupts only one bit.
-//! The demodulator inverts each stage.
+//! LoRa processes payload bits through these stages before they become
+//! chirp symbols: the payload is **whitened** (XOR with an LFSR sequence),
+//! Hamming codewords are **diagonally interleaved** across blocks of `SF`
+//! codewords to spread burst errors over many symbols, and the resulting
+//! symbol values are **Gray-demapped** so that a ±1 chip timing error
+//! corrupts only one bit. The gateway never runs this chain (the commodity
+//! radio decodes the frame and the SDR captures only the preamble); each
+//! stage is kept as a standalone, invertible map.
 
 pub mod gray;
-pub mod hamming;
 pub mod interleaver;
 pub mod whitening;
 
 pub use gray::{gray_decode, gray_encode};
-pub use hamming::{hamming_decode, hamming_encode, DecodeOutcome};
 pub use interleaver::{deinterleave_block, deinterleave_block_into, interleave_block};
 pub use whitening::Whitener;
 

@@ -9,6 +9,8 @@
 //!   `Θ(t) = πW²/2^S·t² − πW·t + 2πδ·t + θ` — in [`chirp`];
 //! * the LoRa **PHY parameters and airtime** (spreading factor, bandwidth,
 //!   coding rate, the SX1276 symbol-count formula) in [`params`];
+//! * the frame format's **bit-level primitives** (whitening, diagonal
+//!   interleaving, Gray mapping, payload CRC-16) in [`coding`];
 //! * **oscillator models** with ppm-scale frequency bias — the physical trait
 //!   the paper's defence keys on — in [`oscillator`];
 //! * the **SDR receiver front-end** (quadrature mixing with receiver bias
@@ -31,6 +33,7 @@
 
 pub mod channel;
 pub mod chirp;
+pub mod coding;
 pub mod frame_timing;
 pub mod noise;
 pub mod oscillator;

@@ -99,7 +99,17 @@ const MODULES: &[(&str, &[&str])] = &[
     ),
     (
         "crates/phy/src/lib.rs",
-        &["channel", "chirp", "frame_timing", "noise", "oscillator", "params", "rn2483", "sdr"],
+        &[
+            "channel",
+            "chirp",
+            "coding",
+            "frame_timing",
+            "noise",
+            "oscillator",
+            "params",
+            "rn2483",
+            "sdr",
+        ],
     ),
 ];
 

@@ -8,6 +8,9 @@ use softlora_repro::dsp::unwrap::{unwrap_phase, wrap_to_pi};
 use softlora_repro::dsp::Complex;
 use softlora_repro::lorawan::elapsed::{ElapsedCodec, SensorRecord};
 use softlora_repro::lorawan::{DataFrame, DeviceKeys, FrameType};
+use softlora_repro::phy::coding::{
+    deinterleave_block, gray_decode, gray_encode, interleave_block, Whitener,
+};
 use softlora_repro::sim::queue::EventQueue;
 
 proptest! {
@@ -142,6 +145,32 @@ proptest! {
             prop_assert_eq!(*v, r.value);
             prop_assert!((e - (tx_time - r.local_time_s)).abs() <= 0.5001e-3);
         }
+    }
+
+    #[test]
+    fn gray_round_trip_and_unit_distance(v in 0u32..65536) {
+        prop_assert_eq!(gray_decode(gray_encode(v)), v);
+        if v > 0 {
+            prop_assert_eq!((gray_encode(v) ^ gray_encode(v - 1)).count_ones(), 1);
+        }
+    }
+
+    #[test]
+    fn interleaver_round_trip(
+        ppm in 4usize..13,
+        cw_bits in 5usize..9,
+        seed in any::<u32>(),
+    ) {
+        let codewords: Vec<u8> = (0..ppm)
+            .map(|i| ((seed.wrapping_mul(2654435761).wrapping_add(i as u32 * 97)) % (1 << cw_bits.min(8))) as u8)
+            .collect();
+        let symbols = interleave_block(&codewords, ppm, cw_bits).unwrap();
+        prop_assert_eq!(deinterleave_block(&symbols, ppm, cw_bits).unwrap(), codewords);
+    }
+
+    #[test]
+    fn whitening_is_involution(data in prop::collection::vec(any::<u8>(), 0..200)) {
+        prop_assert_eq!(Whitener::whiten(&Whitener::whiten(&data)), data);
     }
 
     #[test]
